@@ -21,14 +21,14 @@
 //! The striped ingest sequencer ([`crate::ingest`]) assigns every
 //! producer batch a contiguous *position block*, and each shard's
 //! reorder stage releases blocks to its worker in block order — which
-//! is position order. Control traffic (barriers, registration) rides
-//! the same order as zero-width blocks.
+//! is position order. Every control operation rides the same order
+//! through the one control fence (`IngestShared::fence`): a zero-width
+//! block reserved under the sequencer lock, carrying one control
+//! message per shard, staged under its block id before it completes.
 //!
-//! `snapshot()` reserves one zero-width **epoch block** at position
-//! `P = next_pos` and stages a `Snapshot` fence into every shard's
-//! reorder buffer under that block id, all inside a single sequencer
-//! lock acquisition. Consistency is then inherited from the sequencer's
-//! ordering invariants:
+//! `snapshot()` is an **epoch** fence at position `P = next_pos`: its
+//! block carries an `Extract` message to every shard. Consistency is
+//! then inherited from the sequencer's ordering invariants:
 //!
 //! 1. Every block reserved *before* the epoch block holds positions
 //!    `< P`, and the reorder watermark cannot pass a

@@ -23,7 +23,8 @@
 //! order on *operations*: blocks are reserved under one lock, and each
 //! shard's reorder stage releases them in block-id order. Positions
 //! alone do not expose that order — control operations (register,
-//! deregister, replace, snapshot fences) ride **zero-width** blocks,
+//! deregister, replace, snapshot fences) ride the **zero-width** blocks
+//! of the one control fence,
 //! so a registration at position `p` and a batch starting at `p` share
 //! a stamp, and only the block order says which the shard workers saw
 //! first.
@@ -50,9 +51,13 @@
 //!
 //! Because producers append to the log *after* their positions are
 //! stamped, replaying batches through the ordinary ingest path
-//! re-derives identical position stamps (checked record-by-record
-//! during recovery), so the recovered runtime resumes stamping exactly
-//! where the crashed one left off.
+//! re-derives identical position stamps. A control record *is* the
+//! operation — the runtime's `ControlOp` (register, deregister,
+//! replace) with its fence position — and replays through the same
+//! `Runtime::apply` the public methods call, so it re-fences at the
+//! same position and re-issues the same query id. Both are checked
+//! record by record during recovery, so the recovered runtime resumes
+//! stamping exactly where the crashed one left off.
 //!
 //! # What is (and is not) durable
 //!
@@ -83,10 +88,7 @@ mod store;
 mod wal;
 
 pub(crate) use store::CheckpointStore;
-pub(crate) use wal::{
-    encode_batch, encode_deregister, encode_register, encode_replace, replay_dir, Wal, WalOp,
-    WalRecord,
-};
+pub(crate) use wal::{encode_batch, encode_control, replay_dir, Wal, WalOp, WalRecord};
 
 use crate::checkpoint::SnapshotError;
 use cer_common::wire::WireError;

@@ -28,7 +28,7 @@
 //! [`DurabilityStatus::healthy`](super::DurabilityStatus) reports it.
 
 use super::{io_err, DurabilityConfig, DurabilityError, FsyncPolicy};
-use crate::runtime::QuerySpec;
+use crate::runtime::{ControlOp, QueryId, QuerySpec};
 use cer_common::crc::crc32;
 use cer_common::wire::{Wire, WireReader, WireWriter};
 use cer_common::Tuple;
@@ -62,20 +62,8 @@ pub(crate) struct WalRecord {
 pub(crate) enum WalOp {
     /// A producer batch stamped at positions `start..start + tuples.len()`.
     Batch { start: u64, tuples: Vec<Tuple> },
-    /// `register` returned `id` at stream position `position`.
-    Register {
-        position: u64,
-        id: u32,
-        spec: QuerySpec,
-    },
-    /// `deregister(id)` at stream position `position`.
-    Deregister { position: u64, id: u32 },
-    /// `replace(id, spec)` at stream position `position`.
-    Replace {
-        position: u64,
-        id: u32,
-        spec: QuerySpec,
-    },
+    /// A control operation fenced at stream position `position`.
+    Control { position: u64, op: ControlOp },
 }
 
 const TAG_BATCH: u8 = 0;
@@ -102,69 +90,55 @@ pub(crate) fn encode_batch(
     Ok(w.into_bytes())
 }
 
-pub(crate) fn encode_register(
+/// Encode a control record payload: `tag, position, query id`, then
+/// the query definition for a register or replace.
+pub(crate) fn encode_control(
     seq: u64,
     position: u64,
-    id: u32,
-    spec: &QuerySpec,
+    op: &ControlOp,
 ) -> Result<Vec<u8>, DurabilityError> {
+    let (tag, id, spec) = match op {
+        ControlOp::Register { id, spec } => (TAG_REGISTER, id, Some(spec)),
+        ControlOp::Deregister { id } => (TAG_DEREGISTER, id, None),
+        ControlOp::Replace { id, spec } => (TAG_REPLACE, id, Some(spec)),
+    };
     let mut w = WireWriter::new();
     w.put_u64(seq);
-    w.put_u8(TAG_REGISTER);
+    w.put_u8(tag);
     w.put_u64(position);
-    w.put_u32(id);
-    spec.encode(&mut w).map_err(DurabilityError::from)?;
-    Ok(w.into_bytes())
-}
-
-pub(crate) fn encode_deregister(seq: u64, position: u64, id: u32) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u64(seq);
-    w.put_u8(TAG_DEREGISTER);
-    w.put_u64(position);
-    w.put_u32(id);
-    w.into_bytes()
-}
-
-pub(crate) fn encode_replace(
-    seq: u64,
-    position: u64,
-    id: u32,
-    spec: &QuerySpec,
-) -> Result<Vec<u8>, DurabilityError> {
-    let mut w = WireWriter::new();
-    w.put_u64(seq);
-    w.put_u8(TAG_REPLACE);
-    w.put_u64(position);
-    w.put_u32(id);
-    spec.encode(&mut w).map_err(DurabilityError::from)?;
+    w.put_u32(id.0);
+    if let Some(spec) = spec {
+        spec.encode(&mut w).map_err(DurabilityError::from)?;
+    }
     Ok(w.into_bytes())
 }
 
 fn decode_record(payload: &[u8]) -> Result<WalRecord, DurabilityError> {
     let mut r = WireReader::new(payload);
-    let seq = r.get_u64().map_err(DurabilityError::from)?;
-    let tag = r.get_u8().map_err(DurabilityError::from)?;
+    let seq = r.get_u64()?;
+    let tag = r.get_u8()?;
     let op = match tag {
         TAG_BATCH => {
-            let start = r.get_u64().map_err(DurabilityError::from)?;
-            let tuples = Vec::<Tuple>::decode(&mut r).map_err(DurabilityError::from)?;
+            let start = r.get_u64()?;
+            let tuples = Vec::<Tuple>::decode(&mut r)?;
             WalOp::Batch { start, tuples }
         }
-        TAG_REGISTER => WalOp::Register {
-            position: r.get_u64().map_err(DurabilityError::from)?,
-            id: r.get_u32().map_err(DurabilityError::from)?,
-            spec: QuerySpec::decode(&mut r).map_err(DurabilityError::from)?,
-        },
-        TAG_DEREGISTER => WalOp::Deregister {
-            position: r.get_u64().map_err(DurabilityError::from)?,
-            id: r.get_u32().map_err(DurabilityError::from)?,
-        },
-        TAG_REPLACE => WalOp::Replace {
-            position: r.get_u64().map_err(DurabilityError::from)?,
-            id: r.get_u32().map_err(DurabilityError::from)?,
-            spec: QuerySpec::decode(&mut r).map_err(DurabilityError::from)?,
-        },
+        TAG_REGISTER | TAG_DEREGISTER | TAG_REPLACE => {
+            let position = r.get_u64()?;
+            let id = QueryId(r.get_u32()?);
+            let op = match tag {
+                TAG_REGISTER => ControlOp::Register {
+                    id,
+                    spec: QuerySpec::decode(&mut r)?,
+                },
+                TAG_DEREGISTER => ControlOp::Deregister { id },
+                _ => ControlOp::Replace {
+                    id,
+                    spec: QuerySpec::decode(&mut r)?,
+                },
+            };
+            WalOp::Control { position, op }
+        }
         _ => return Err(DurabilityError::WalCorrupt("unknown wal record tag")),
     };
     if !r.is_exhausted() {
@@ -688,6 +662,64 @@ mod tests {
         })
         .unwrap();
         (seqs, outcome)
+    }
+
+    /// The control-record layout is an on-disk format: `u64 seq, u8 tag
+    /// (1 register, 2 deregister, 3 replace), u64 position, u32 id`,
+    /// then the query definition's wire bytes for register and replace.
+    /// Pinned so logs written by earlier builds keep recovering.
+    #[test]
+    fn control_records_keep_their_golden_bytes_and_round_trip() {
+        use crate::window::WindowPolicy;
+        let (_, r, s, t) = cer_common::Schema::sigma0();
+        let spec = QuerySpec::new(
+            "p0",
+            cer_automata::pcea::paper_p0(r, s, t),
+            WindowPolicy::Count(5),
+        );
+        let mut w = WireWriter::new();
+        spec.encode(&mut w).unwrap();
+        let spec_bytes = w.into_bytes();
+        let header = |tag: u8| {
+            let mut h = vec![7, 0, 0, 0, 0, 0, 0, 0, tag];
+            h.extend([0x02, 0x01, 0, 0, 0, 0, 0, 0]);
+            h.extend([3, 0, 0, 0]);
+            h
+        };
+        let id = QueryId(3);
+        let cases = [
+            (
+                ControlOp::Register {
+                    id,
+                    spec: spec.clone(),
+                },
+                [header(1), spec_bytes.clone()].concat(),
+            ),
+            (ControlOp::Deregister { id }, header(2)),
+            (
+                ControlOp::Replace { id, spec },
+                [header(3), spec_bytes].concat(),
+            ),
+        ];
+        for (op, golden) in cases {
+            let bytes = encode_control(7, 0x0102, &op).unwrap();
+            assert_eq!(bytes, golden, "{op:?}");
+            let record = decode_record(&bytes).unwrap();
+            assert_eq!(record.seq, 7);
+            let WalOp::Control {
+                position,
+                op: decoded,
+            } = record.op
+            else {
+                panic!("a control tag decodes to a control record");
+            };
+            assert_eq!(position, 0x0102);
+            assert_eq!(
+                std::mem::discriminant(&decoded),
+                std::mem::discriminant(&op)
+            );
+            assert_eq!(encode_control(7, 0x0102, &decoded).unwrap(), golden);
+        }
     }
 
     #[test]

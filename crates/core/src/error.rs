@@ -65,7 +65,8 @@ pub enum ErrorCode {
     NotASnapshot = 40,
     /// [`SnapshotError::UnknownVersion`].
     UnknownSnapshotVersion = 41,
-    /// [`SnapshotError::ShardWorkerDied`].
+    /// [`SnapshotError::ShardWorkerDied`] and
+    /// [`RuntimeError::ShardWorkerDied`].
     ShardWorkerDied = 42,
     /// [`SnapshotError::BadDefinition`].
     BadDefinition = 43,
@@ -218,6 +219,7 @@ impl Error {
                 RuntimeError::ReplaceIncompatible { .. } => ErrorCode::ReplaceIncompatible,
                 RuntimeError::InvalidShardCount { .. } => ErrorCode::InvalidShardCount,
                 RuntimeError::UnserializableQuery { .. } => ErrorCode::UnserializableQuery,
+                RuntimeError::ShardWorkerDied => ErrorCode::ShardWorkerDied,
             },
             Error::Ingest(IngestError::RuntimeClosed) => ErrorCode::RuntimeClosed,
             Error::Snapshot(e) => match e {
@@ -398,6 +400,10 @@ mod tests {
             (
                 RuntimeError::UnserializableQuery { query: "q".into() }.into(),
                 ErrorCode::UnserializableQuery,
+            ),
+            (
+                RuntimeError::ShardWorkerDied.into(),
+                ErrorCode::ShardWorkerDied,
             ),
         ];
         for (err, code) in cases {

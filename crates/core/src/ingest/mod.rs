@@ -56,19 +56,23 @@
 //! completes in bounded time and sparse or empty blocks (blocks that
 //! routed nothing to a shard) simply have no entry to release.
 //!
-//! Control traffic rides the same order: `IngestShared::barrier`,
-//! registration and deregistration each reserve a **zero-width** block
-//! (no positions) and stage their control message into the reorder
-//! buffers under that block id. A barrier is therefore delivered to a
-//! worker only after every block reserved before it — *staged or not* —
-//! has completed and been released: the watermark cannot pass a
-//! reserved-but-unstaged block, which is exactly the fence `drain()`
-//! needs. Registration mutates the routing tables and reserves its
-//! zero-width block under the same lock acquisition, so a block's router
-//! snapshot agrees with its position in block order: blocks before the
-//! registration were routed with the old tables and are delivered ahead
-//! of the `Register` message, blocks after with the new tables, behind
-//! it.
+//! Control traffic rides the same order through one primitive,
+//! `IngestShared::fence`, shared by barriers, register, deregister,
+//! replace, snapshot and rescale. Under one sequencer lock acquisition
+//! it edits the routing tables, reserves a **zero-width** block (no
+//! positions; a rescale reserves two), and takes a `wal_seq` for
+//! operations the WAL replays; it then stages one control message per
+//! target shard under the block id and completes the block. A message
+//! is therefore delivered to a worker only after every block reserved
+//! before it — *staged or not* — has completed and been released: the
+//! watermark cannot pass a reserved-but-unstaged block, which is exactly
+//! the fence `drain()` needs. Because the router edit shares the lock
+//! with the reservation, a block's router snapshot agrees with its
+//! position in block order: blocks before a registration were routed
+//! with the old tables and are delivered ahead of its message, blocks
+//! after with the new tables, behind it. A worker that dies drops the
+//! messages its queue holds, so the fence's caller sees the death
+//! instead of waiting on a reply.
 //!
 //! # Position-sequencing soundness
 //!
@@ -166,6 +170,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::hash::BuildHasher;
 use std::ops::Range;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -684,42 +689,83 @@ impl IngestShared {
         })
     }
 
+    /// The one control-plane fence. Under a single sequencer lock
+    /// acquisition it runs `edit` (router edits, queue-set swaps), which
+    /// returns the per-shard messages to stage, reserves the
+    /// zero-width block(s) `kind` asks for and reads or takes the
+    /// `wal_seq`; then it stages every message under the fence block and
+    /// completes that block. The edit and the reservation share the
+    /// lock, so the routing epoch agrees with block order: blocks
+    /// reserved before the fence were routed with the old tables and are
+    /// released to the workers ahead of its messages, blocks after it
+    /// see the new tables and follow.
+    ///
+    /// `edit` gets the reply sender to clone into its messages; the
+    /// fence drops its own copy, so [`Replies::gather`] reports a
+    /// worker that dies before replying instead of waiting on it.
+    pub(crate) fn fence<R>(
+        &self,
+        kind: FenceKind,
+        edit: impl FnOnce(&mut SeqCore, &Sender<R>) -> Staging,
+    ) -> Fenced<R> {
+        let (reply, rx) = std::sync::mpsc::channel();
+        let mut seq = self.seq.lock().expect("sequencer poisoned");
+        let staging = edit(&mut seq, &reply);
+        let (block, position) = seq.reserve(0);
+        let held = (kind == FenceKind::Handoff).then(|| seq.reserve(0).0);
+        let wal_seq = match kind {
+            FenceKind::Replayable => seq.take_wal_seq(),
+            FenceKind::Epoch | FenceKind::Handoff => seq.next_wal_seq,
+        };
+        drop(seq);
+        let replies = self.stage_and_finish(block, staging, rx);
+        Fenced {
+            position,
+            wal_seq,
+            held,
+            replies,
+        }
+    }
+
+    /// Stage one control message per target queue under the reserved
+    /// zero-width `block`, then complete the block. A closed target
+    /// (its worker is gone) drops its message and marks the replies
+    /// failed. Also stages [`Runtime::rescale`](crate::runtime::Runtime::rescale)'s
+    /// held install block.
+    pub(crate) fn stage_and_finish<R>(
+        &self,
+        block: u64,
+        staging: Staging,
+        rx: Receiver<R>,
+    ) -> Replies<R> {
+        let expected = staging.len();
+        let mut closed = false;
+        for (q, msg) in staging {
+            closed |= q.stage_control(block, msg).is_err();
+        }
+        self.finish_block(block);
+        Replies {
+            rx,
+            expected,
+            closed,
+        }
+    }
+
     /// Fence across all shards: returns once every message ordered
     /// before the call — tuple blocks (reserved or staged),
     /// registrations — has been fully processed and its match events
-    /// published.
-    ///
-    /// The barrier reserves a zero-width block, so it is released to
-    /// each worker only after the watermark passes every block reserved
-    /// before it: reserved-but-unstaged blocks are fenced too.
+    /// published. An epoch [`fence`](Self::fence) staging one `Barrier`
+    /// per shard, so reserved-but-unstaged blocks are fenced too.
     pub fn barrier(&self) -> Result<(), IngestError> {
-        let (reply, done) = std::sync::mpsc::channel();
-        let (id, queues) = {
-            let mut seq = self.seq.lock().expect("sequencer poisoned");
-            (seq.reserve(0).0, Arc::clone(&seq.queues))
-        };
-        let mut closed = false;
-        for q in queues.iter() {
-            if q.stage_control(
-                id,
-                ShardMsg::Barrier {
-                    reply: reply.clone(),
-                },
-            )
-            .is_err()
-            {
-                closed = true;
-            }
-        }
-        self.finish_block(id);
-        drop(reply);
-        if closed {
-            return Err(IngestError::RuntimeClosed);
-        }
-        for _ in 0..queues.len() {
-            done.recv().map_err(|_| IngestError::RuntimeClosed)?;
-        }
-        Ok(())
+        self.fence(FenceKind::Epoch, |seq, reply| {
+            broadcast(&seq.queues, || ShardMsg::Barrier {
+                reply: reply.clone(),
+            })
+        })
+        .replies
+        .gather()
+        .map(drop)
+        .map_err(|Closed| IngestError::RuntimeClosed)
     }
 
     /// Close the pipeline: every shard queue is closed (workers drain
@@ -742,6 +788,69 @@ impl IngestShared {
             q.close();
         }
         self.subs.close_all();
+    }
+}
+
+/// What a control [`fence`](IngestShared::fence) reserves besides its
+/// fence block, and whether it takes a `wal_seq`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FenceKind {
+    /// A replayable control operation (register, deregister, replace):
+    /// one block, and the next `wal_seq`, which the caller must log.
+    Replayable,
+    /// A state fence that changes nothing durable (barrier, snapshot
+    /// epoch): one block; reports the `wal_seq` high-water.
+    Epoch,
+    /// A rescale hand-off: a second block is reserved right behind the
+    /// fence block and held open ([`Fenced::held`]) until the new
+    /// workers' state is staged; reports the `wal_seq` high-water.
+    Handoff,
+}
+
+/// The control messages a fence stages: one per target queue.
+pub(crate) type Staging = Vec<(Arc<ShardQueue>, ShardMsg)>;
+
+/// Stage `msg()` to every queue of `queues`.
+pub(crate) fn broadcast(queues: &[Arc<ShardQueue>], msg: impl Fn() -> ShardMsg) -> Staging {
+    queues.iter().map(|q| (Arc::clone(q), msg())).collect()
+}
+
+/// A completed fence: where it cut the stream, plus the replies of the
+/// messages it staged.
+pub(crate) struct Fenced<R> {
+    /// The stream position of the fence block.
+    pub position: u64,
+    /// The operation's own `wal_seq` ([`FenceKind::Replayable`]), else
+    /// the high-water: every logged operation below it was reserved
+    /// before the fence.
+    pub wal_seq: u64,
+    /// The held second block of a [`FenceKind::Handoff`]; the caller
+    /// must stage into and complete it on every path.
+    pub held: Option<u64>,
+    /// The staged messages' replies.
+    pub replies: Replies<R>,
+}
+
+/// The replies owed to a fence by the workers it staged messages to.
+pub(crate) struct Replies<R> {
+    rx: Receiver<R>,
+    expected: usize,
+    /// Some target queue was already closed: its worker is gone and its
+    /// message was dropped undelivered.
+    pub closed: bool,
+}
+
+impl<R> Replies<R> {
+    /// One reply per staged message, in arrival order. A worker that
+    /// dies first drops its reply sender with its queue, so this
+    /// returns `Err` instead of blocking forever.
+    pub fn gather(self) -> Result<Vec<R>, Closed> {
+        if self.closed {
+            return Err(Closed);
+        }
+        (0..self.expected)
+            .map(|_| self.rx.recv().map_err(|_| Closed))
+            .collect()
     }
 }
 

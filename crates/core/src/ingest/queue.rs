@@ -2,7 +2,7 @@
 //!
 //! Each shard worker owns one [`ShardQueue`]: a mutex-and-condvar MPSC
 //! queue that carries position-stamped tuple batches *and* control
-//! messages (register, deregister, stats, barriers). Capacity is
+//! messages (installs, deregistrations, stats, barriers). Capacity is
 //! accounted in **tuples**, not messages, and only tuple batches count —
 //! control traffic always gets through, so a saturated firehose can
 //! never wedge registration or shutdown.
@@ -68,17 +68,6 @@ pub(crate) type StatsReply = (usize, Vec<(QueryId, EngineStats)>, SharedEvalStat
 pub(crate) enum ShardMsg {
     /// Position-stamped tuples in increasing position order.
     Tuples(TupleBatch),
-    /// Host a new query on this shard. `state` carries a restored
-    /// evaluator (checkpoint restore) instead of starting fresh.
-    Register {
-        id: QueryId,
-        pcea: Pcea,
-        window: WindowPolicy,
-        partition: Partition,
-        gc_every: u64,
-        listens: Option<Vec<RelationId>>,
-        state: Option<Box<StreamingEvaluator>>,
-    },
     /// Epoch-block state fence shared by snapshot and rescale
     /// ([`crate::checkpoint`]): capture every hosted query's evaluator
     /// at exactly this point of the released position order and reply
@@ -90,28 +79,30 @@ pub(crate) enum ShardMsg {
         detach: bool,
         reply: Sender<ShardState>,
     },
-    /// Rescale install fence: adopt merged evaluators for the new shard
-    /// topology. The whole shard's worth of queries rides one message
-    /// because the reorder buffer keys entries by block id — a zero-
-    /// width block carries exactly one control message per shard.
-    /// Replies once the state is installed, i.e. this worker serves
-    /// positions from the fence onward.
+    /// Host ready-to-serve evaluators: one query on a registration
+    /// (fresh or restored state), a whole shard's worth on a rescale —
+    /// the reorder buffer keys entries by block id, so a zero-width
+    /// block carries exactly one control message per shard. A rescale
+    /// waits for the reply: this worker then serves positions from the
+    /// fence onward.
     Install {
         queries: Vec<InstallQuery>,
-        reply: Sender<()>,
+        reply: Option<Sender<()>>,
     },
     /// Hot-swap a hosted query's automaton in place
     /// (`Runtime::replace`): the accumulated state is handed to the
     /// recompiled automaton at exactly this point of the position
-    /// order. Replies whether this shard hosted (and swapped) the
-    /// query; compatibility was validated by the control plane.
+    /// order. Replies like [`Deregister`](Self::Deregister) — the
+    /// swapped-out evaluator's counters, `None` if this shard never
+    /// hosted the query; compatibility was validated by the control
+    /// plane.
     Replace {
         id: QueryId,
         pcea: Pcea,
         window: WindowPolicy,
         gc_every: u64,
         listens: Option<Vec<RelationId>>,
-        reply: Sender<bool>,
+        reply: Sender<Option<EngineStats>>,
     },
     /// Drop a hosted query; replies with its final engine counters
     /// (`None` if this shard never hosted it).
@@ -146,11 +137,10 @@ pub(crate) struct ShardState {
     pub capture_nanos: u64,
 }
 
-/// One query's ready-to-serve state handed to a new worker during
-/// `Runtime::rescale` — one element of [`ShardMsg::Install`]. The
-/// evaluator carries its own automaton, window clock and GC cadence;
-/// routing metadata rides alongside so the worker can rebuild its
-/// local tables exactly as a restore-time register would.
+/// One query's ready-to-serve state handed to a worker — one element
+/// of [`ShardMsg::Install`]. The evaluator carries its own automaton,
+/// window clock and GC cadence; routing metadata rides alongside so the
+/// worker can rebuild its local tables.
 pub(crate) struct InstallQuery {
     pub id: QueryId,
     pub partition: Partition,
@@ -511,6 +501,23 @@ impl ShardQueue {
     pub fn close(&self) {
         let mut inner = self.inner.lock().expect("ingest queue poisoned");
         inner.closed = true;
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+    }
+
+    /// Close the queue on behalf of a worker that is unwinding, and drop
+    /// every message it still holds, released or pending. Dropping them
+    /// drops their reply senders, so a control-plane caller waiting on
+    /// this worker sees a disconnect instead of waiting forever; later
+    /// staging fails with [`Closed`]. Tolerates a poisoned lock — this
+    /// runs during a panic.
+    pub fn abandon(&self) {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.closed = true;
+        inner.msgs.clear();
+        inner.pending.clear();
+        inner.depth = 0;
+        self.has_pending.store(false, Ordering::Release);
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }

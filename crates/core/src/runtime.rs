@@ -73,13 +73,14 @@
 use crate::checkpoint::{QueryRecord, Snapshot, SnapshotError};
 use crate::config::RuntimeConfig;
 use crate::durability::{
-    encode_deregister, encode_register, encode_replace, io_err, replay_dir, CheckpointStats,
-    CheckpointStore, DurabilityError, DurabilityHandle, DurabilityStatus, Wal, WalOp, WalRecord,
+    encode_control, io_err, replay_dir, CheckpointStats, CheckpointStore, DurabilityError,
+    DurabilityHandle, DurabilityStatus, Wal, WalOp, WalRecord,
 };
 use crate::evaluator::{EngineStats, StreamingEvaluator};
 use crate::ingest::{
-    key_shard, BackpressurePolicy, IngestHandle, IngestShared, InstallQuery, QueryMeta, QueueStats,
-    ShardMsg, ShardQueue, ShardState, Subscription, SubscriptionFilter,
+    broadcast, key_shard, BackpressurePolicy, Closed, FenceKind, Fenced, IngestHandle,
+    IngestShared, InstallQuery, QueryMeta, QueueStats, ShardMsg, ShardQueue, ShardState, Staging,
+    Subscription, SubscriptionFilter,
 };
 use crate::metrics::{PipelineEvent, ShardStageMetrics};
 use crate::shared::PredicateCache;
@@ -87,6 +88,7 @@ use crate::window::WindowPolicy;
 use cer_automata::pcea::Pcea;
 use cer_automata::valuation::Valuation;
 use cer_common::hash::{FxBuildHasher, FxHashMap};
+use cer_common::wire::{Wire, WireWriter};
 use cer_common::{RelationId, Tuple};
 use cer_obs::{JournalEntry, MetricsSnapshot};
 use std::fmt;
@@ -160,6 +162,61 @@ impl QuerySpec {
         self.gc_every = every;
         self
     }
+
+    /// An evaluator for this query with no state yet.
+    fn fresh_evaluator(&self) -> StreamingEvaluator {
+        let mut eval = StreamingEvaluator::with_window(self.pcea.clone(), self.window.clone());
+        eval.set_gc_every(self.gc_every);
+        eval
+    }
+}
+
+/// A replayable control operation: the one path behind
+/// [`Runtime::register`], [`Runtime::deregister`] and
+/// [`Runtime::replace`] (`Runtime::apply`), and the control record of
+/// the write-ahead log, so recovery replays it through that same path.
+#[derive(Clone, Debug)]
+pub(crate) enum ControlOp {
+    /// Host `spec` under the next query id, `id`.
+    Register { id: QueryId, spec: QuerySpec },
+    /// Stop routing to `id` and drop its state.
+    Deregister { id: QueryId },
+    /// Hand `id`'s accumulated state to the recompiled `spec`.
+    Replace { id: QueryId, spec: QuerySpec },
+}
+
+impl ControlOp {
+    /// The operation's name in errors.
+    fn name(&self) -> &'static str {
+        match self {
+            ControlOp::Register { .. } => "register",
+            ControlOp::Deregister { .. } => "deregister",
+            ControlOp::Replace { .. } => "replace",
+        }
+    }
+
+    /// The query definition the operation installs, if any.
+    fn spec(&self) -> Option<&QuerySpec> {
+        match self {
+            ControlOp::Register { spec, .. } | ControlOp::Replace { spec, .. } => Some(spec),
+            ControlOp::Deregister { .. } => None,
+        }
+    }
+
+    /// The journal event of the operation fenced at `position`.
+    fn event(&self, position: u64) -> PipelineEvent {
+        match *self {
+            ControlOp::Register { id: query, .. } => {
+                PipelineEvent::QueryRegistered { query, position }
+            }
+            ControlOp::Deregister { id: query } => {
+                PipelineEvent::QueryDeregistered { query, position }
+            }
+            ControlOp::Replace { id: query, .. } => {
+                PipelineEvent::QueryReplaced { query, position }
+            }
+        }
+    }
 }
 
 /// One completed match: which query fired, at which global stream
@@ -217,6 +274,10 @@ pub enum RuntimeError {
         /// The rejected query's name.
         query: String,
     },
+    /// A shard worker thread is gone (it panicked), so a control
+    /// operation could not be delivered to it or never got its reply.
+    /// The runtime has lost that shard's state.
+    ShardWorkerDied,
 }
 
 impl fmt::Display for RuntimeError {
@@ -246,6 +307,9 @@ impl fmt::Display for RuntimeError {
                      predicates have no wire form) — a durable runtime would \
                      lose it on recovery"
                 )
+            }
+            RuntimeError::ShardWorkerDied => {
+                write!(f, "a runtime shard worker died; its shard's state is lost")
             }
         }
     }
@@ -470,7 +534,7 @@ struct QueryInfo {
 /// snapshot/restore and query hot-swap.
 pub struct Runtime {
     shared: Arc<IngestShared>,
-    workers: Vec<Option<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
     queries: Vec<QueryInfo>,
     snap_counters: SnapshotCounters,
     rescale_counters: RescaleCounters,
@@ -483,21 +547,26 @@ pub struct Runtime {
     durability: Option<DurabilityHandle>,
 }
 
-/// Spawn one shard worker. The queue, stage metrics and shard geometry
-/// are per-epoch values passed at spawn time (not read from the shared
-/// state) so [`Runtime::rescale`] can run old and new worker sets
+/// Spawn one shard worker per queue. The queues, stage metrics and shard
+/// geometry are per-epoch values passed at spawn time (not read from the
+/// shared state) so [`Runtime::rescale`] can run old and new worker sets
 /// against different queue sets during the hand-off.
-fn spawn_shard_worker(
-    shared: Arc<IngestShared>,
-    queue: Arc<ShardQueue>,
-    stage: Arc<ShardStageMetrics>,
-    shard_idx: usize,
-    n_shards: usize,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("cer-shard-{shard_idx}"))
-        .spawn(move || shard_loop(shared, queue, stage, shard_idx, n_shards))
-        .expect("spawn shard worker")
+fn spawn_shard_workers(
+    shared: &Arc<IngestShared>,
+    queues: &[Arc<ShardQueue>],
+    stages: &[Arc<ShardStageMetrics>],
+) -> Vec<JoinHandle<()>> {
+    let n_shards = queues.len();
+    let mut workers = Vec::with_capacity(n_shards);
+    for (shard_idx, (queue, stage)) in queues.iter().zip(stages).enumerate() {
+        let (shared, queue, stage) = (Arc::clone(shared), Arc::clone(queue), Arc::clone(stage));
+        let worker = std::thread::Builder::new()
+            .name(format!("cer-shard-{shard_idx}"))
+            .spawn(move || shard_loop(shared, queue, stage, shard_idx, n_shards))
+            .expect("spawn shard worker");
+        workers.push(worker);
+    }
+    workers
 }
 
 impl Runtime {
@@ -518,20 +587,7 @@ impl Runtime {
             .lock()
             .expect("metrics poisoned")
             .clone();
-        let workers = queues
-            .iter()
-            .zip(stages)
-            .enumerate()
-            .map(|(idx, (queue, stage))| {
-                Some(spawn_shard_worker(
-                    shared.clone(),
-                    queue.clone(),
-                    stage,
-                    idx,
-                    queues.len(),
-                ))
-            })
-            .collect();
+        let workers = spawn_shard_workers(&shared, &queues, &stages);
         Runtime {
             shared,
             workers,
@@ -586,129 +642,9 @@ impl Runtime {
     /// currently hosting the fewest live pinned queries, so
     /// register/deregister churn cannot pile them up on few shards.
     pub fn register(&mut self, spec: QuerySpec) -> Result<QueryId, RuntimeError> {
-        self.register_with_state(spec, None)
-    }
-
-    /// The shared registration path: `state` carries a restored
-    /// evaluator (checkpoint restore) to seed the shard workers with
-    /// instead of fresh state. Key-partitioned restored queries get a
-    /// clone of the merged state on *every* home shard, pruned to the
-    /// key slice that home owns — see [`crate::checkpoint`] for why
-    /// disjointness matters — with the merged counters on the first
-    /// home only, so per-query stats summed across shards stay exact.
-    fn register_with_state(
-        &mut self,
-        spec: QuerySpec,
-        state: Option<StreamingEvaluator>,
-    ) -> Result<QueryId, RuntimeError> {
-        if let Partition::ByKey { pos } = spec.partition {
-            if !spec.pcea.supports_key_partition(pos) {
-                return Err(RuntimeError::KeyPartitionUnsound {
-                    query: spec.name,
-                    pos,
-                });
-            }
-        }
-        // Durable runtimes must be able to log the definition: probe
-        // encodability *before* reserving anything, so a rejection
-        // consumes no `wal_seq` and leaves no gap in the log.
-        if self.shared.wal.get().is_some() {
-            use cer_common::wire::{Wire, WireWriter};
-            let mut probe = WireWriter::new();
-            if spec.encode(&mut probe).is_err() {
-                return Err(RuntimeError::UnserializableQuery { query: spec.name });
-            }
-        }
         let id = QueryId(self.queries.len() as u32);
-        let listens = spec.pcea.relations();
-        let n_homes = match spec.partition {
-            Partition::ByQuery => 1,
-            Partition::ByKey { .. } => self.num_shards(),
-        };
-        // Replica clones are prepared before the sequencer lock: cloning
-        // a large restored arena under the lock would stall producers.
-        // Under `ByKey`, each home's copy is pruned to the key slice it
-        // owns in the *new* layout — replicas must stay disjoint or the
-        // next merge (rescale, restore) would duplicate in-window runs.
-        let mut states: Vec<Option<Box<StreamingEvaluator>>> = (0..n_homes).map(|_| None).collect();
-        if let Some(eval) = state {
-            for (k, slot) in states.iter_mut().enumerate().skip(1) {
-                let mut clone = eval.clone();
-                clone.clear_replica_stats();
-                if let Partition::ByKey { pos } = spec.partition {
-                    clone.retain_key_shard(pos, k, n_homes);
-                }
-                *slot = Some(Box::new(clone));
-            }
-            let mut first = eval;
-            if let Partition::ByKey { pos } = spec.partition {
-                first.retain_key_shard(pos, 0, n_homes);
-            }
-            states[0] = Some(Box::new(first));
-        }
-        let (block, position, wal_seq) = {
-            // One sequencer lock acquisition swaps the router AND
-            // reserves the zero-width control block, so the routing
-            // epoch agrees with block order: blocks reserved before this
-            // were routed with the old tables and their tuples are
-            // released ahead of the Register message; blocks after see
-            // the query and follow it.
-            let mut seq = self.shared.seq.lock().expect("sequencer poisoned");
-            let n_shards = seq.queues.len();
-            let homes: Vec<usize> = match spec.partition {
-                Partition::ByQuery => {
-                    let counts = seq.router.pinned_per_shard(n_shards);
-                    let least = (0..counts.len()).min_by_key(|&s| counts[s]).unwrap_or(0);
-                    vec![least]
-                }
-                Partition::ByKey { .. } => (0..n_shards).collect(),
-            };
-            let router = Arc::make_mut(&mut seq.router);
-            router.metas.push(QueryMeta {
-                alive: true,
-                partition: spec.partition,
-                listens: listens.clone(),
-                homes: homes.clone(),
-            });
-            router.rebuild();
-            let (block, position) = seq.reserve(0);
-            let wal_seq = seq.take_wal_seq();
-            for (k, &shard) in homes.iter().enumerate() {
-                seq.queues[shard]
-                    .stage_control(
-                        block,
-                        ShardMsg::Register {
-                            id,
-                            pcea: spec.pcea.clone(),
-                            window: spec.window.clone(),
-                            partition: spec.partition,
-                            gc_every: spec.gc_every,
-                            listens: listens.clone(),
-                            state: states[k].take(),
-                        },
-                    )
-                    .expect("runtime not shut down");
-            }
-            (block, position, wal_seq)
-        };
-        self.shared.finish_block(block);
-        if self.shared.wal.get().is_some() {
-            let payload = encode_register(wal_seq, position, id.0, &spec);
-            self.shared.wal_append(wal_seq, position, payload);
-        }
-        self.shared
-            .metrics
-            .journal
-            .push(PipelineEvent::QueryRegistered {
-                query: id,
-                position,
-            });
-        self.queries.push(QueryInfo {
-            name: spec.name.clone(),
-            alive: true,
-            spec: Some(spec),
-        });
-        Ok(id)
+        self.apply(ControlOp::Register { id, spec }, None)
+            .map(|_| id)
     }
 
     /// Remove a query: tuples ingested from now on are no longer routed
@@ -717,63 +653,207 @@ impl Runtime {
     /// deregistration is FIFO-ordered with ingestion, like
     /// registration. The id is retired, not reused.
     pub fn deregister(&mut self, id: QueryId) -> Result<EngineStats, RuntimeError> {
-        let info = self
-            .queries
-            .get_mut(id.0 as usize)
-            .filter(|info| info.alive)
-            .ok_or(RuntimeError::UnknownQuery { id })?;
-        info.alive = false;
-        info.spec = None;
-        let (reply, replies) = channel();
-        let (block, position, homes, wal_seq) = {
-            // Same epoch rule as `register`: the router swap and the
-            // zero-width control block share one lock acquisition, so
-            // tuples routed to the dying query (older blocks) are
-            // released ahead of the Deregister message and still count.
-            let mut seq = self.shared.seq.lock().expect("sequencer poisoned");
+        self.apply(ControlOp::Deregister { id }, None)
+    }
+
+    /// The one control-plane path, shared by the public operations,
+    /// restore's re-registration and WAL replay: validate, probe that a
+    /// durable runtime can log the operation, cut the stream with one
+    /// replayable [`fence`](IngestShared::fence) that edits the router
+    /// and stages a message per home shard, log, journal, update the
+    /// registry, and gather the home shards' replies. Returns the
+    /// summed final counters of a deregistered query (zero otherwise).
+    ///
+    /// `state` seeds a registration with a restored evaluator
+    /// (checkpoint restore) instead of fresh state, fanned out across
+    /// the home shards by [`replicate`].
+    fn apply(
+        &mut self,
+        op: ControlOp,
+        state: Option<StreamingEvaluator>,
+    ) -> Result<EngineStats, RuntimeError> {
+        self.validate(&op)?;
+        // Durable runtimes must be able to log the definition: probe
+        // encodability *before* reserving anything, so a rejection
+        // consumes no `wal_seq` and leaves no gap in the log.
+        if let (Some(_), Some(spec)) = (self.shared.wal.get(), op.spec()) {
+            if spec.encode(&mut WireWriter::new()).is_err() {
+                return Err(RuntimeError::UnserializableQuery {
+                    query: spec.name.clone(),
+                });
+            }
+        }
+        let listens = op.spec().and_then(|spec| spec.pcea.relations());
+        // A registration's evaluators are built before the sequencer
+        // lock: cloning a large restored arena under the lock would
+        // stall producers.
+        let n_shards = self.num_shards();
+        let mut replicas = match (&op, state) {
+            (ControlOp::Register { spec, .. }, Some(eval)) => {
+                replicate(eval, spec.partition, n_shards)
+            }
+            (ControlOp::Register { spec, .. }, None) => match spec.partition {
+                Partition::ByQuery => vec![spec.fresh_evaluator()],
+                Partition::ByKey { .. } => (0..n_shards).map(|_| spec.fresh_evaluator()).collect(),
+            },
+            _ => Vec::new(),
+        }
+        .into_iter();
+        let Fenced {
+            position,
+            wal_seq,
+            replies,
+            ..
+        } = self.shared.fence(FenceKind::Replayable, |seq, reply| {
+            let n_shards = seq.queues.len();
             let router = Arc::make_mut(&mut seq.router);
-            let meta = &mut router.metas[id.0 as usize];
-            meta.alive = false;
-            let homes = meta.homes.clone();
+            let homes = match &op {
+                ControlOp::Register { spec, .. } => {
+                    let homes = match spec.partition {
+                        Partition::ByQuery => {
+                            let counts = router.pinned_per_shard(n_shards);
+                            vec![(0..n_shards).min_by_key(|&s| counts[s]).unwrap_or(0)]
+                        }
+                        Partition::ByKey { .. } => (0..n_shards).collect(),
+                    };
+                    router.metas.push(QueryMeta {
+                        alive: true,
+                        partition: spec.partition,
+                        listens: listens.clone(),
+                        homes: homes.clone(),
+                    });
+                    homes
+                }
+                ControlOp::Deregister { id } => {
+                    let meta = &mut router.metas[id.0 as usize];
+                    meta.alive = false;
+                    meta.homes.clone()
+                }
+                ControlOp::Replace { id, .. } => {
+                    let meta = &mut router.metas[id.0 as usize];
+                    meta.listens = listens.clone();
+                    meta.homes.clone()
+                }
+            };
             router.rebuild();
-            let (block, position) = seq.reserve(0);
-            let wal_seq = seq.take_wal_seq();
-            for &shard in &homes {
-                seq.queues[shard]
-                    .stage_control(
-                        block,
-                        ShardMsg::Deregister {
-                            id,
+            homes
+                .iter()
+                .map(|&shard| {
+                    let msg = match &op {
+                        ControlOp::Register { id, spec } => ShardMsg::Install {
+                            queries: vec![InstallQuery {
+                                id: *id,
+                                partition: spec.partition,
+                                listens: listens.clone(),
+                                state: Box::new(replicas.next().expect("one replica per home")),
+                            }],
+                            reply: None,
+                        },
+                        ControlOp::Deregister { id } => ShardMsg::Deregister {
+                            id: *id,
                             reply: reply.clone(),
                         },
-                    )
-                    .expect("runtime not shut down");
-            }
-            (block, position, homes, wal_seq)
-        };
-        self.shared.finish_block(block);
+                        ControlOp::Replace { id, spec } => ShardMsg::Replace {
+                            id: *id,
+                            pcea: spec.pcea.clone(),
+                            window: spec.window.clone(),
+                            gc_every: spec.gc_every,
+                            listens: listens.clone(),
+                            reply: reply.clone(),
+                        },
+                    };
+                    (Arc::clone(&seq.queues[shard]), msg)
+                })
+                .collect()
+        });
         if self.shared.wal.get().is_some() {
-            let payload = Ok(encode_deregister(wal_seq, position, id.0));
+            let payload = encode_control(wal_seq, position, &op);
             self.shared.wal_append(wal_seq, position, payload);
         }
-        self.shared
-            .metrics
-            .journal
-            .push(PipelineEvent::QueryDeregistered {
-                query: id,
-                position,
-            });
-        drop(reply);
-        let mut total = EngineStats::default();
-        for _ in 0..homes.len() {
-            let st = replies
-                .recv()
-                .expect("a runtime shard worker died during deregistration");
-            if let Some(st) = st {
-                sum_stats(&mut total, &st);
+        self.shared.metrics.journal.push(op.event(position));
+        // Registration replies nothing: only a closed home queue fails it.
+        let replies = match op {
+            ControlOp::Register { spec, .. } => {
+                self.queries.push(QueryInfo {
+                    name: spec.name.clone(),
+                    alive: true,
+                    spec: Some(spec),
+                });
+                if replies.closed {
+                    Err(Closed)
+                } else {
+                    Ok(Vec::new())
+                }
+            }
+            ControlOp::Deregister { id } => {
+                let info = &mut self.queries[id.0 as usize];
+                info.alive = false;
+                info.spec = None;
+                replies.gather()
+            }
+            ControlOp::Replace { id, spec } => {
+                let info = &mut self.queries[id.0 as usize];
+                info.name = spec.name.clone();
+                info.spec = Some(spec);
+                replies.gather().inspect(|replies| {
+                    assert!(
+                        replies.iter().all(Option::is_some),
+                        "home shard did not host the replaced query"
+                    )
+                })
             }
         }
+        .map_err(|Closed| RuntimeError::ShardWorkerDied)?;
+        let mut total = EngineStats::default();
+        for st in replies.iter().flatten() {
+            sum_stats(&mut total, st);
+        }
         Ok(total)
+    }
+
+    /// Everything that rejects a control operation before it is fenced:
+    /// liveness of the target id, key-partition soundness, and the
+    /// hot-swap compatibility rules of [`replace`](Self::replace).
+    fn validate(&self, op: &ControlOp) -> Result<(), RuntimeError> {
+        let live_spec = |id: QueryId| {
+            self.queries
+                .get(id.0 as usize)
+                .filter(|info| info.alive)
+                .and_then(|info| info.spec.as_ref())
+                .ok_or(RuntimeError::UnknownQuery { id })
+        };
+        let (old, new) = match op {
+            ControlOp::Register { id, spec } => {
+                debug_assert_eq!(id.0 as usize, self.queries.len(), "ids are dense");
+                return key_partition_sound(spec);
+            }
+            ControlOp::Deregister { id } => return live_spec(*id).map(drop),
+            ControlOp::Replace { id, spec } => (live_spec(*id)?, spec),
+        };
+        let incompatible = |reason| RuntimeError::ReplaceIncompatible {
+            query: new.name.clone(),
+            reason,
+        };
+        if new.partition != old.partition {
+            return Err(incompatible(
+                "partition mode must match (snapshot/restore re-shards)",
+            ));
+        }
+        key_partition_sound(new)?;
+        if !old.pcea.skeleton_compatible(&new.pcea) {
+            return Err(incompatible(
+                "automaton skeleton differs (states, finals or transition shape)",
+            ));
+        }
+        let window_ok = match (&old.window, &new.window) {
+            (WindowPolicy::Count(_), WindowPolicy::Count(_)) => true,
+            (WindowPolicy::Time { ts_pos: a, .. }, WindowPolicy::Time { ts_pos: b, .. }) => a == b,
+            _ => false,
+        };
+        if !window_ok {
+            return Err(incompatible("window kind (or timestamp attribute) differs"));
+        }
+        Ok(())
     }
 
     /// Capture an epoch-consistent [`Snapshot`] of every registered
@@ -788,7 +868,6 @@ impl Runtime {
     /// Fails up front — before fencing anything — when a registered
     /// definition cannot be serialized (closure predicates).
     pub fn snapshot(&mut self) -> Result<Snapshot, SnapshotError> {
-        use cer_common::wire::{Wire, WireWriter};
         // Early validation: every live definition must round-trip, or
         // the snapshot would be unrestorable.
         for info in self.queries.iter().filter(|i| i.alive) {
@@ -796,13 +875,27 @@ impl Runtime {
             let mut probe = WireWriter::new();
             spec.encode(&mut probe)?;
         }
-        // Extract: the epoch-fenced copy-on-fence capture, shared with
-        // `rescale`. Workers clone their hosted evaluators at the fence
-        // and keep serving.
-        let (fence_pos, wal_seq, states) = self
-            .extract_states()
-            .map_err(|_| SnapshotError::ShardWorkerDied)?;
-        let position = fence_pos;
+        // Extract: an epoch fence at which every worker clones its
+        // hosted evaluators and keeps serving (rescale's hand-off
+        // detaches them instead). The `wal_seq` high-water is read under
+        // the fence's lock: every replayable operation below it is
+        // covered by the capture, so the recovery replay filter
+        // (`seq >= wal_seq`) is exact.
+        let Fenced {
+            position,
+            wal_seq,
+            replies,
+            ..
+        } = self.shared.fence(FenceKind::Epoch, |seq, reply| {
+            let extract = || ShardMsg::Extract {
+                detach: false,
+                reply: reply.clone(),
+            };
+            broadcast(&seq.queues, extract)
+        });
+        let states = replies
+            .gather()
+            .map_err(|Closed| SnapshotError::ShardWorkerDied)?;
         let n_shards = states.len();
         // Encode: the wire layer, snapshot-only. The workers resumed
         // the moment their clone finished; serialization happens here
@@ -864,50 +957,6 @@ impl Runtime {
         })
     }
 
-    /// The extract half of the snapshot path: reserve one zero-width
-    /// epoch block through the striped sequencer and have every shard
-    /// worker capture (clone) its hosted evaluators at exactly that
-    /// point of the released position order, without stopping
-    /// producers. Returns the fence position and one [`ShardState`]
-    /// per shard, in shard order. No bytes are produced — encoding is
-    /// [`Runtime::snapshot`]'s half; [`Runtime::rescale`] consumes the
-    /// detaching variant of the same capture directly.
-    ///
-    /// Also returns the `wal_seq` high-water read under the same lock
-    /// acquisition as the fence reservation: every replayable operation
-    /// whose `wal_seq` is below it was reserved before the fence and is
-    /// therefore covered by the captured state — the recovery replay
-    /// filter (`seq >= wal_seq`) is exact, not approximate.
-    fn extract_states(&mut self) -> Result<(u64, u64, Vec<ShardState>), ()> {
-        let (reply, replies) = channel();
-        let (block, position, wal_seq, n_shards) = {
-            // Reserved and staged to every shard under one sequencer
-            // lock acquisition, like register/deregister.
-            let mut seq = self.shared.seq.lock().expect("sequencer poisoned");
-            let (block, position) = seq.reserve(0);
-            let wal_seq = seq.next_wal_seq;
-            for q in seq.queues.iter() {
-                q.stage_control(
-                    block,
-                    ShardMsg::Extract {
-                        detach: false,
-                        reply: reply.clone(),
-                    },
-                )
-                .map_err(|_| ())?;
-            }
-            (block, position, wal_seq, seq.queues.len())
-        };
-        self.shared.finish_block(block);
-        drop(reply);
-        let mut states = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            states.push(replies.recv().map_err(|_| ())?);
-        }
-        states.sort_by_key(|s| s.shard);
-        Ok((position, wal_seq, states))
-    }
-
     /// Live, in-process resharding: tear the worker set down to
     /// `shards` threads (or up), moving every query's accumulated
     /// state across — no serialize round-trip, producers blocked no
@@ -915,8 +964,9 @@ impl Runtime {
     /// [`QueryId`]s all survive; stamping resumes at the fence
     /// position, so outputs are identical to never having rescaled.
     ///
-    /// Mechanically this is a two-block fence through the striped
-    /// sequencer, installed under one lock acquisition:
+    /// Mechanically this is the control fence in its hand-off form
+    /// (`FenceKind::Handoff`): one lock acquisition reserves two
+    /// zero-width blocks, and the second is held open:
     ///
     /// ```text
     ///  old queues ── …tuples… ─ B:Extract(detach)        ×closed×
@@ -929,8 +979,8 @@ impl Runtime {
     /// * fence block `B` carries a detaching extract to the old
     ///   workers: each drains its entire pre-fence backlog, hands its
     ///   evaluators over, and exits;
-    /// * install block `B+1` is completed only once the merged state
-    ///   has been staged to the new queues, and the reorder stage
+    /// * held install block `B+1` is completed only once the merged
+    ///   state has been staged to the new queues, and the reorder stage
     ///   releases blocks strictly in order — so the new workers adopt
     ///   their state *before* the first post-fence tuple, which waited
     ///   in the reorder buffer, not in a parked producer.
@@ -946,9 +996,11 @@ impl Runtime {
     /// and `rescale` itself, take `&mut self`, so they are serialized
     /// by construction — a rescale can neither interleave with nor
     /// deadlock against another structural change, and each one
-    /// fences FIFO with ingestion through its control block's position
-    /// in the reserve order. Concurrent producers ([`IngestHandle`])
-    /// and consumers ([`Subscription`]) keep running throughout.
+    /// fences FIFO with ingestion through the same fence. Concurrent
+    /// producers ([`IngestHandle`]) and consumers ([`Subscription`])
+    /// keep running throughout. If an old worker died, its state is
+    /// lost: the rescale still completes both blocks and then fails
+    /// with [`RuntimeError::ShardWorkerDied`].
     pub fn rescale(&mut self, shards: usize) -> Result<(), RuntimeError> {
         if shards == 0 || shards > 64 {
             return Err(RuntimeError::InvalidShardCount { shards });
@@ -961,20 +1013,26 @@ impl Runtime {
         let new_stages: Vec<Arc<ShardStageMetrics>> = (0..shards)
             .map(|_| Arc::new(ShardStageMetrics::default()))
             .collect();
-        let (reply, replies) = channel();
         let fence_at = Instant::now();
-        // Phase 1 — the fence. One sequencer lock acquisition re-homes
-        // every live query, swaps the router and the queue set, and
-        // reserves both control blocks, so the routing epoch agrees
+        // Phase 1 — the hand-off fence. One sequencer lock acquisition
+        // re-homes every live query, swaps the router and the queue set,
+        // and reserves both control blocks, so the routing epoch agrees
         // with block order exactly as in register/deregister.
-        let (fence_block, install_block, fence_pos, fence_wal_seq, old_queues, placements) = {
-            let mut seq = self.shared.seq.lock().expect("sequencer poisoned");
-            let old_queues = Arc::clone(&seq.queues);
+        let mut old_queues = Arc::clone(&new_queues);
+        let mut placements: Vec<Placement> = Vec::new();
+        let Fenced {
+            position: fence_pos,
+            wal_seq: fence_wal_seq,
+            held,
+            replies,
+        } = self.shared.fence(FenceKind::Handoff, |seq, reply| {
+            // Later blocks stage into the new queues; `old_queues` now
+            // holds the retiring set.
+            std::mem::swap(&mut seq.queues, &mut old_queues);
             let router = Arc::make_mut(&mut seq.router);
             // Deterministic re-placement: pinned queries go least-
             // loaded in id order; keyed queries home on every shard.
             let mut pinned = vec![0usize; shards];
-            let mut placements: Vec<Placement> = Vec::new();
             for (i, meta) in router.metas.iter_mut().enumerate() {
                 if !meta.alive {
                     continue;
@@ -995,10 +1053,6 @@ impl Runtime {
                 ));
             }
             router.rebuild();
-            let (fence_block, fence_pos) = seq.reserve(0);
-            let (install_block, _) = seq.reserve(0);
-            let fence_wal_seq = seq.next_wal_seq;
-            seq.queues = Arc::clone(&new_queues);
             // Watermark broadcasts must keep reaching the retiring
             // queues until their workers hand their state over.
             seq.broadcast = old_queues
@@ -1006,26 +1060,13 @@ impl Runtime {
                 .chain(new_queues.iter())
                 .cloned()
                 .collect();
-            for q in old_queues.iter() {
-                q.stage_control(
-                    fence_block,
-                    ShardMsg::Extract {
-                        detach: true,
-                        reply: reply.clone(),
-                    },
-                )
-                .expect("runtime not shut down");
-            }
-            (
-                fence_block,
-                install_block,
-                fence_pos,
-                fence_wal_seq,
-                old_queues,
-                placements,
-            )
-        };
-        self.shared.finish_block(fence_block);
+            let extract = || ShardMsg::Extract {
+                detach: true,
+                reply: reply.clone(),
+            };
+            broadcast(&old_queues, extract)
+        });
+        let install_block = held.expect("a hand-off fence holds its install block");
         // A durable runtime rolls the active segment at the fence, so a
         // recovery replaying across this rescale re-derives the same
         // fence point from segment boundaries alone (the log carries no
@@ -1036,33 +1077,17 @@ impl Runtime {
                 position: fence_pos,
             });
         }
-        drop(reply);
         // Phase 2 — the new workers spawn immediately; their queues
         // hold everything back until the install block releases.
-        let new_workers: Vec<Option<JoinHandle<()>>> = new_queues
-            .iter()
-            .zip(&new_stages)
-            .enumerate()
-            .map(|(idx, (queue, stage))| {
-                Some(spawn_shard_worker(
-                    self.shared.clone(),
-                    queue.clone(),
-                    stage.clone(),
-                    idx,
-                    shards,
-                ))
-            })
-            .collect();
+        let new_workers = spawn_shard_workers(&self.shared, &new_queues, &new_stages);
         // Phase 3 — collect the detached state. A reply proves that
-        // shard evaluated everything below the fence.
-        let mut states: Vec<ShardState> = Vec::with_capacity(old_n);
-        for _ in 0..old_n {
-            states.push(
-                replies
-                    .recv()
-                    .expect("a runtime shard worker died during rescale"),
-            );
-        }
+        // shard evaluated everything below the fence. If an old worker
+        // died, its state is gone: the install block is still staged
+        // and completed (empty) so nothing waits on it, and the rescale
+        // reports the death once the old epoch is retired.
+        let extracted = replies.gather();
+        let died = extracted.is_err();
+        let mut states = extracted.unwrap_or_default();
         states.sort_by_key(|s| s.shard);
         let shard_move_nanos: Vec<u64> = states.iter().map(|s| s.capture_nanos).collect();
         // Phase 4 — merge in memory: exactly restore's merge, no bytes.
@@ -1074,63 +1099,38 @@ impl Runtime {
         }
         let mut installs: Vec<Vec<InstallQuery>> = (0..shards).map(|_| Vec::new()).collect();
         for (id, partition, listens, homes) in placements {
-            let replicas = by_query.remove(&id).unwrap_or_default();
-            let mut merged =
-                merge_replicas(replicas).expect("live query hosted on at least one old shard");
+            // No replica only after a worker died.
+            let Some(mut merged) = merge_replicas(by_query.remove(&id).unwrap_or_default()) else {
+                continue;
+            };
             merged.set_resume_position(fence_pos);
-            // Same replication rule as a restored registration: the
-            // merged counters live on the first home only, clones on
-            // the others report zero, so stats summed across shards
-            // stay exact — and each `ByKey` home keeps only the key
-            // slice it owns in the new layout, so the replicas handed
-            // out are disjoint and the *next* rescale's merge cannot
-            // duplicate runs.
-            for &shard in homes.iter().skip(1) {
-                let mut clone = merged.clone();
-                clone.clear_replica_stats();
-                if let Partition::ByKey { pos } = partition {
-                    clone.retain_key_shard(pos, shard, shards);
-                }
+            for (&shard, eval) in homes.iter().zip(replicate(merged, partition, shards)) {
                 installs[shard].push(InstallQuery {
                     id,
                     partition,
                     listens: listens.clone(),
-                    state: Box::new(clone),
+                    state: Box::new(eval),
                 });
             }
-            if let Partition::ByKey { pos } = partition {
-                merged.retain_key_shard(pos, homes[0], shards);
-            }
-            installs[homes[0]].push(InstallQuery {
-                id,
-                partition,
-                listens,
-                state: Box::new(merged),
-            });
         }
-        // Phase 5 — install under the second block. One batched message
+        // Phase 5 — install under the held block. One batched message
         // per new shard (the reorder buffer holds one entry per block
         // id); empty shards still get one, so every queue passes the
         // fence and every worker acknowledges.
-        let (ireply, installed) = channel();
-        for (shard, queries) in installs.into_iter().enumerate() {
-            new_queues[shard]
-                .stage_control(
-                    install_block,
-                    ShardMsg::Install {
-                        queries,
-                        reply: ireply.clone(),
-                    },
-                )
-                .expect("runtime not shut down");
-        }
-        self.shared.finish_block(install_block);
+        let (ireply, irx) = channel();
+        let staging: Staging = new_queues
+            .iter()
+            .zip(installs)
+            .map(|(queue, queries)| {
+                let reply = Some(ireply.clone());
+                (Arc::clone(queue), ShardMsg::Install { queries, reply })
+            })
+            .collect();
         drop(ireply);
-        for _ in 0..shards {
-            installed
-                .recv()
-                .expect("a runtime shard worker died during rescale");
-        }
+        let installed = self
+            .shared
+            .stage_and_finish(install_block, staging, irx)
+            .gather();
         let nanos = fence_at.elapsed().as_nanos() as u64;
         // Phase 6 — retire the old epoch: fold the retiring queues'
         // drop totals into the monotone carry-over, shrink the
@@ -1148,14 +1148,14 @@ impl Runtime {
         for q in old_queues.iter() {
             q.close();
         }
-        let old_workers = std::mem::replace(&mut self.workers, new_workers);
-        for mut worker in old_workers {
-            if let Some(handle) = worker.take() {
-                let _ = handle.join();
-            }
+        for worker in std::mem::replace(&mut self.workers, new_workers) {
+            let _ = worker.join();
         }
         *self.shared.metrics.shards.lock().expect("metrics poisoned") = new_stages;
         self.config.shards = shards;
+        if died || installed.is_err() {
+            return Err(RuntimeError::ShardWorkerDied);
+        }
         self.rescale_counters.rescales += 1;
         self.rescale_counters.last_fence_pos = Some(fence_pos);
         self.rescale_counters.last_rescale_nanos = nanos;
@@ -1244,19 +1244,14 @@ impl Runtime {
             };
             // Decode the captured shard replicas (the wire half), then
             // merge them through the same in-memory path `rescale`
-            // uses; `register_with_state` re-replicates the result
-            // across the new layout's home shards.
+            // uses; `apply` re-replicates the result across the new
+            // layout's home shards.
             let replicas = record
                 .blobs
                 .iter()
                 .map(|blob| StreamingEvaluator::from_snapshot_bytes(spec.pcea.clone(), blob))
                 .collect::<Result<Vec<_>, _>>()?;
-            let mut eval = merge_replicas(replicas).unwrap_or_else(|| {
-                let mut fresh =
-                    StreamingEvaluator::with_window(spec.pcea.clone(), spec.window.clone());
-                fresh.set_gc_every(spec.gc_every);
-                fresh
-            });
+            let mut eval = merge_replicas(replicas).unwrap_or_else(|| spec.fresh_evaluator());
             // A blob whose captured state runs past the snapshot's
             // epoch position is corrupt (e.g. a bit-rotted header):
             // reject it here — decoding must never panic the process.
@@ -1266,10 +1261,12 @@ impl Runtime {
                 )));
             }
             eval.set_resume_position(snapshot.position);
-            let id = rt
-                .register_with_state(spec.clone(), Some(eval))
+            let op = ControlOp::Register {
+                id: QueryId(record.id),
+                spec: spec.clone(),
+            };
+            rt.apply(op, Some(eval))
                 .map_err(|_| SnapshotError::BadDefinition(spec.name.clone()))?;
-            debug_assert_eq!(id.0, record.id);
         }
         rt.shared
             .metrics
@@ -1409,34 +1406,25 @@ impl Runtime {
                             )));
                         }
                     }
-                    WalOp::Register { position, id, spec } => {
-                        check_position("register", rt.next_position(), position)?;
-                        let got = rt.register(spec).map_err(|e| {
-                            DurabilityError::RecoverMismatch(format!(
-                                "replayed register failed: {e}"
-                            ))
-                        })?;
-                        if got.0 != id {
+                    WalOp::Control { position, op } => {
+                        let name = op.name();
+                        let at = rt.next_position();
+                        if at != position {
                             return Err(DurabilityError::RecoverMismatch(format!(
-                                "replayed register yielded id {}, logged id {id}",
-                                got.0
+                                "replayed {name} at position {at}, logged at {position}"
                             )));
                         }
-                    }
-                    WalOp::Deregister { position, id } => {
-                        check_position("deregister", rt.next_position(), position)?;
-                        rt.deregister(QueryId(id)).map_err(|e| {
-                            DurabilityError::RecoverMismatch(format!(
-                                "replayed deregister failed: {e}"
-                            ))
-                        })?;
-                    }
-                    WalOp::Replace { position, id, spec } => {
-                        check_position("replace", rt.next_position(), position)?;
-                        rt.replace(QueryId(id), spec).map_err(|e| {
-                            DurabilityError::RecoverMismatch(format!(
-                                "replayed replace failed: {e}"
-                            ))
+                        if let ControlOp::Register { id, .. } = &op {
+                            if id.0 as usize != rt.queries.len() {
+                                return Err(DurabilityError::RecoverMismatch(format!(
+                                    "replayed register yields id {}, logged id {}",
+                                    rt.queries.len(),
+                                    id.0
+                                )));
+                            }
+                        }
+                        rt.apply(op, None).map_err(|e| {
+                            DurabilityError::RecoverMismatch(format!("replayed {name} failed: {e}"))
                         })?;
                     }
                 }
@@ -1557,112 +1545,8 @@ impl Runtime {
     /// On any incompatibility the swap is rejected and the old query
     /// keeps running untouched.
     pub fn replace(&mut self, id: QueryId, new: QuerySpec) -> Result<(), RuntimeError> {
-        let info = self
-            .queries
-            .get(id.0 as usize)
-            .filter(|info| info.alive)
-            .ok_or(RuntimeError::UnknownQuery { id })?;
-        let old = info.spec.as_ref().expect("live query retains its spec");
-        if new.partition != old.partition {
-            return Err(RuntimeError::ReplaceIncompatible {
-                query: new.name,
-                reason: "partition mode must match (snapshot/restore re-shards)",
-            });
-        }
-        if let Partition::ByKey { pos } = new.partition {
-            if !new.pcea.supports_key_partition(pos) {
-                return Err(RuntimeError::KeyPartitionUnsound {
-                    query: new.name,
-                    pos,
-                });
-            }
-        }
-        if !old.pcea.skeleton_compatible(&new.pcea) {
-            return Err(RuntimeError::ReplaceIncompatible {
-                query: new.name,
-                reason: "automaton skeleton differs (states, finals or transition shape)",
-            });
-        }
-        let window_ok = matches!(
-            (&old.window, &new.window),
-            (WindowPolicy::Count(_), WindowPolicy::Count(_))
-        ) || matches!(
-            (&old.window, &new.window),
-            (
-                WindowPolicy::Time { ts_pos: a, .. },
-                WindowPolicy::Time { ts_pos: b, .. },
-            ) if a == b
-        );
-        if !window_ok {
-            return Err(RuntimeError::ReplaceIncompatible {
-                query: new.name,
-                reason: "window kind (or timestamp attribute) differs",
-            });
-        }
-        // Same durable pre-probe as `register`: reject before reserving
-        // so a refused swap consumes no `wal_seq`.
-        if self.shared.wal.get().is_some() {
-            use cer_common::wire::{Wire, WireWriter};
-            let mut probe = WireWriter::new();
-            if new.encode(&mut probe).is_err() {
-                return Err(RuntimeError::UnserializableQuery { query: new.name });
-            }
-        }
-        let listens = new.pcea.relations();
-        let (reply, replies) = channel();
-        let (block, position, homes, wal_seq) = {
-            // Same epoch rule as register/deregister: the routing-table
-            // swap and the zero-width Replace block share one lock
-            // acquisition, so the routing epoch agrees with the swap
-            // point in position order.
-            let mut seq = self.shared.seq.lock().expect("sequencer poisoned");
-            let router = Arc::make_mut(&mut seq.router);
-            let meta = &mut router.metas[id.0 as usize];
-            meta.listens = listens.clone();
-            let homes = meta.homes.clone();
-            router.rebuild();
-            let (block, position) = seq.reserve(0);
-            let wal_seq = seq.take_wal_seq();
-            for &shard in &homes {
-                seq.queues[shard]
-                    .stage_control(
-                        block,
-                        ShardMsg::Replace {
-                            id,
-                            pcea: new.pcea.clone(),
-                            window: new.window.clone(),
-                            gc_every: new.gc_every,
-                            listens: listens.clone(),
-                            reply: reply.clone(),
-                        },
-                    )
-                    .expect("runtime not shut down");
-            }
-            (block, position, homes, wal_seq)
-        };
-        self.shared.finish_block(block);
-        if self.shared.wal.get().is_some() {
-            let payload = encode_replace(wal_seq, position, id.0, &new);
-            self.shared.wal_append(wal_seq, position, payload);
-        }
-        self.shared
-            .metrics
-            .journal
-            .push(PipelineEvent::QueryReplaced {
-                query: id,
-                position,
-            });
-        drop(reply);
-        for _ in 0..homes.len() {
-            let swapped = replies
-                .recv()
-                .expect("a runtime shard worker died during replace");
-            assert!(swapped, "home shard did not host the replaced query");
-        }
-        let info = &mut self.queries[id.0 as usize];
-        info.name = new.name.clone();
-        info.spec = Some(new);
-        Ok(())
+        self.apply(ControlOp::Replace { id, spec: new }, None)
+            .map(drop)
     }
 
     /// Push one tuple; returns its completed matches across all queries.
@@ -2134,10 +2018,8 @@ impl Drop for Runtime {
             let _ = wal.flush_sync();
         }
         self.shared.close();
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.take() {
-                let _ = handle.join();
-            }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -2162,16 +2044,46 @@ fn merge_replicas(
     merged
 }
 
-/// Replay cross-check: a logged control operation must re-apply at the
-/// stream position it was originally stamped at, or the log and the
-/// restored base state disagree.
-fn check_position(op: &str, at: u64, logged: u64) -> Result<(), DurabilityError> {
-    if at != logged {
-        return Err(DurabilityError::RecoverMismatch(format!(
-            "replayed {op} at position {at}, logged at {logged}"
-        )));
+/// Fan one query's merged evaluator out to its home shards in a layout
+/// of `n_shards`: the single home of a `ByQuery` query, every shard in
+/// order for `ByKey`. The merged counters stay on the first home and the
+/// copies report zero, so per-query stats summed across shards stay
+/// exact; each `ByKey` home keeps only the key slice it owns, so the
+/// replicas are disjoint and the next merge (rescale, restore) cannot
+/// duplicate in-window runs. Shared by restore and rescale.
+fn replicate(
+    merged: StreamingEvaluator,
+    partition: Partition,
+    n_shards: usize,
+) -> Vec<StreamingEvaluator> {
+    let Partition::ByKey { pos } = partition else {
+        return vec![merged];
+    };
+    let copies = (1..n_shards).map(|_| {
+        let mut copy = merged.clone();
+        copy.clear_replica_stats();
+        copy
+    });
+    let mut replicas: Vec<StreamingEvaluator> = copies.collect();
+    replicas.insert(0, merged);
+    for (shard, replica) in replicas.iter_mut().enumerate() {
+        replica.retain_key_shard(pos, shard, n_shards);
     }
-    Ok(())
+    replicas
+}
+
+/// A registered definition must be sound under its partition:
+/// [`Partition::ByKey`] needs every join to project the key attribute.
+fn key_partition_sound(spec: &QuerySpec) -> Result<(), RuntimeError> {
+    match spec.partition {
+        Partition::ByKey { pos } if !spec.pcea.supports_key_partition(pos) => {
+            Err(RuntimeError::KeyPartitionUnsound {
+                query: spec.name.clone(),
+                pos,
+            })
+        }
+        _ => Ok(()),
+    }
 }
 
 fn sum_stats(acc: &mut EngineStats, st: &EngineStats) {
@@ -2186,9 +2098,8 @@ fn sum_stats(acc: &mut EngineStats, st: &EngineStats) {
 
 /// Adopt an evaluator into a worker's hosting structures: intern its
 /// predicate slots, append it to `queries`, and place it in a skeleton
-/// group. The shared tail of the `Register` and `Install` (rescale
-/// hand-off) paths; the caller rebuilds the local routing tables after
-/// the last adoption.
+/// group. The shared tail of the `Install` and `Replace` paths; the
+/// caller rebuilds the local routing tables after the last adoption.
 #[allow(clippy::too_many_arguments)]
 fn host_query(
     queries: &mut Vec<LocalQuery>,
@@ -2221,6 +2132,38 @@ fn host_query(
     groups[gi].members.push(k);
 }
 
+/// Remove query `id` from a worker's hosting structures, releasing its
+/// predicate slots and regrouping the survivors (indices into `queries`
+/// shift). `None` when this worker does not host `id`. The caller
+/// rebuilds the local routing tables.
+fn unhost_query(
+    queries: &mut Vec<LocalQuery>,
+    groups: &mut Vec<QueryGroup>,
+    cache: &mut PredicateCache,
+    id: QueryId,
+) -> Option<LocalQuery> {
+    let k = queries.iter().position(|q| q.id == id)?;
+    let q = queries.remove(k);
+    for &s in &q.slots {
+        cache.release(s);
+    }
+    rebuild_groups(groups, queries);
+    Some(q)
+}
+
+/// Closes a worker's queue if the worker unwinds (a panicking predicate
+/// closure), dropping the messages it holds so control-plane callers
+/// waiting on their replies see the worker die instead of hanging.
+struct AbandonOnUnwind<'a>(&'a ShardQueue);
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abandon();
+        }
+    }
+}
+
 /// One worker thread: hosts its queries' evaluators and a local routing
 /// table, drains its bounded ingest queue in FIFO order — coalescing
 /// consecutive tuple batches up to [`IngestConfig::max_batch`](crate::ingest::IngestConfig::max_batch) per
@@ -2238,6 +2181,7 @@ fn shard_loop(
     shard_idx: usize,
     n_shards: usize,
 ) {
+    let _abandon = AbandonOnUnwind(&queue);
     let max_batch = shared.config.max_batch.max(1);
     let hasher = FxBuildHasher::default();
     let mut queries: Vec<LocalQuery> = Vec::new();
@@ -2354,35 +2298,6 @@ fn shard_loop(
                 }
                 stage.eval.record_duration(eval_at.elapsed());
             }
-            ShardMsg::Register {
-                id,
-                pcea,
-                window,
-                partition,
-                gc_every,
-                listens,
-                state,
-            } => {
-                let eval = match state {
-                    // Checkpoint restore: adopt the captured state.
-                    Some(restored) => *restored,
-                    None => {
-                        let mut fresh = StreamingEvaluator::with_window(pcea, window);
-                        fresh.set_gc_every(gc_every);
-                        fresh
-                    }
-                };
-                host_query(
-                    &mut queries,
-                    &mut groups,
-                    &mut cache,
-                    id,
-                    eval,
-                    partition,
-                    listens,
-                );
-                rebuild_local(&groups, &mut routes, &mut wildcards);
-            }
             ShardMsg::Extract { detach, reply } => {
                 // Copy-on-fence: capture every hosted query at this
                 // exact point of the released position order. Shards
@@ -2421,10 +2336,10 @@ fn shard_loop(
                 queries: moved,
                 reply,
             } => {
-                // Rescale hand-off, receiving side: adopt the merged
-                // evaluators before the first post-fence tuple (the
-                // reorder stage held every later block back until this
-                // message's block completed).
+                // Registration, or the receiving side of a rescale
+                // hand-off: adopt the evaluators before the first tuple
+                // behind the fence (the reorder stage held every later
+                // block back until this message's block completed).
                 for iq in moved {
                     host_query(
                         &mut queries,
@@ -2437,7 +2352,9 @@ fn shard_loop(
                     );
                 }
                 rebuild_local(&groups, &mut routes, &mut wildcards);
-                let _ = reply.send(());
+                if let Some(reply) = reply {
+                    let _ = reply.send(());
+                }
             }
             ShardMsg::Replace {
                 id,
@@ -2447,62 +2364,35 @@ fn shard_loop(
                 listens,
                 reply,
             } => {
-                let swapped = match queries.iter().position(|q| q.id == id) {
-                    Some(k) => {
-                        let old = queries.remove(k);
-                        for &s in &old.slots {
-                            cache.release(s);
-                        }
-                        let eval = old
-                            .eval
-                            .replace_automaton(pcea, window, gc_every)
-                            .expect("replace compatibility validated by the control plane");
-                        let slots = eval
-                            .pcea()
-                            .transitions()
-                            .iter()
-                            .map(|tr| cache.intern(&tr.unary))
-                            .collect();
-                        let last_regressions = eval.stats().ts_regressions;
-                        queries.insert(
-                            k,
-                            LocalQuery {
-                                id,
-                                eval,
-                                partition: old.partition,
-                                listens,
-                                slots,
-                                group: 0,
-                                last_regressions,
-                            },
-                        );
-                        // The replacement may land in a different
-                        // skeleton group than its predecessor, and
-                        // `remove`/`insert` shifted member indices.
-                        let gi = find_or_create_group(&mut groups, &queries, k);
-                        queries[k].group = gi;
-                        rebuild_groups(&mut groups, &mut queries);
-                        rebuild_local(&groups, &mut routes, &mut wildcards);
-                        true
-                    }
-                    None => false,
-                };
+                // Unhost the old query and host its state under the
+                // recompiled automaton, exactly like a fresh
+                // registration: the replacement may land in a different
+                // skeleton group. Evaluation is per query, so its
+                // outputs stay in position order.
+                let swapped = unhost_query(&mut queries, &mut groups, &mut cache, id).map(|old| {
+                    let eval = old
+                        .eval
+                        .replace_automaton(pcea, window, gc_every)
+                        .expect("replace compatibility validated by the control plane");
+                    let stats = eval.stats();
+                    host_query(
+                        &mut queries,
+                        &mut groups,
+                        &mut cache,
+                        id,
+                        eval,
+                        old.partition,
+                        listens,
+                    );
+                    stats
+                });
+                rebuild_local(&groups, &mut routes, &mut wildcards);
                 let _ = reply.send(swapped);
             }
             ShardMsg::Deregister { id, reply } => {
-                let stats = match queries.iter().position(|q| q.id == id) {
-                    Some(k) => {
-                        let q = queries.remove(k);
-                        for &s in &q.slots {
-                            cache.release(s);
-                        }
-                        rebuild_groups(&mut groups, &mut queries);
-                        rebuild_local(&groups, &mut routes, &mut wildcards);
-                        Some(q.eval.stats())
-                    }
-                    None => None,
-                };
-                let _ = reply.send(stats);
+                let removed = unhost_query(&mut queries, &mut groups, &mut cache, id);
+                rebuild_local(&groups, &mut routes, &mut wildcards);
+                let _ = reply.send(removed.map(|q| q.eval.stats()));
             }
             ShardMsg::Stats { reply } => {
                 let per_query = queries.iter().map(|q| (q.id, q.eval.stats())).collect();
