@@ -653,20 +653,6 @@ impl UnaryPredicate {
         }
     }
 
-    /// Whether tuples of `r` can never satisfy the predicate. Sound but
-    /// incomplete: `false` means "maybe matches". Unconfined forms
-    /// (`True`, `Cmp`, `Custom`) never reject.
-    pub fn rejects_relation(&self, r: RelationId) -> bool {
-        match self {
-            UnaryPredicate::True | UnaryPredicate::Cmp { .. } | UnaryPredicate::Custom(_) => false,
-            UnaryPredicate::Relation(x) => *x != r,
-            UnaryPredicate::OneOf(rs) => !rs.contains(&r),
-            UnaryPredicate::Atom(p) => p.relation != r,
-            UnaryPredicate::Groups { relation, .. } => *relation != r,
-            UnaryPredicate::And(ps) => ps.iter().any(|p| p.rejects_relation(r)),
-        }
-    }
-
     /// The structural canonical key of this predicate: two predicates
     /// with equal keys are semantically identical (for `Custom`, only
     /// the *same closure allocation* — `Arc` identity — keys equal).
@@ -1033,25 +1019,6 @@ mod tests {
         let p3 = UnaryPredicate::Custom(g);
         assert_eq!(p1.canonical_key(), p2.canonical_key());
         assert_ne!(p1.canonical_key(), p3.canonical_key());
-    }
-
-    #[test]
-    fn rejects_relation_is_sound() {
-        let (_, r, s, t) = Schema::sigma0();
-        assert!(!UnaryPredicate::True.rejects_relation(r));
-        assert!(UnaryPredicate::Relation(s).rejects_relation(r));
-        assert!(!UnaryPredicate::Relation(s).rejects_relation(s));
-        assert!(UnaryPredicate::OneOf(Box::new([r, s])).rejects_relation(t));
-        assert!(!UnaryPredicate::OneOf(Box::new([r, s])).rejects_relation(s));
-        let conj = UnaryPredicate::Relation(s).and(UnaryPredicate::Cmp {
-            pos: 0,
-            op: CmpOp::Ge,
-            value: Value::Int(0),
-        });
-        assert!(conj.rejects_relation(r));
-        assert!(!conj.rejects_relation(s));
-        let custom = UnaryPredicate::Custom(Arc::new(|_| false));
-        assert!(!custom.rejects_relation(r), "opaque closures never reject");
     }
 
     #[test]

@@ -253,8 +253,9 @@ pub struct CheckpointStats {
     pub bytes: u64,
     /// Whether this was a full checkpoint (chain base) or a delta.
     pub full: bool,
-    /// Delta compression achieved, in basis points: `bytes * 10_000 /
-    /// uncompressed state size`. `10_000` means no savings.
+    /// Delta compression achieved, in basis points: `bytes * 10_000 /`
+    /// the bytes a full encoding of the same snapshot writes. `10_000`
+    /// means no savings; a full checkpoint reports exactly that.
     pub delta_ratio_bp: u64,
     /// WAL segments deleted by the post-checkpoint truncation.
     pub wal_segments_removed: u64,

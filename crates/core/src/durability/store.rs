@@ -102,6 +102,10 @@ fn ckpt_file_name(epoch: u64) -> String {
     format!("ckpt-{epoch:08x}.ck")
 }
 
+/// Bytes a full [`encode_blob`] adds around the blob: the outer length
+/// prefix, the kind tag and the inner length prefix.
+const FULL_BLOB_OVERHEAD: u64 = 8 + 1 + 8;
+
 /// Chunk-delta encode `blob` against `base` into `out` (which is then
 /// streamed to the sink). Falls back to a full encoding when there is
 /// no base or the delta would not be smaller.
@@ -307,10 +311,14 @@ impl CheckpointStore {
         header.put_u64(snap.wal_seq);
         header.put_len(snap.origin_shards);
         header.put_len(snap.queries.len());
-        sink.write_all(&header.into_bytes())
+        let header = header.into_bytes();
+        sink.write_all(&header)
             .map_err(|e| io_err("write checkpoint", e))?;
 
-        let mut full_bytes = 0u64;
+        // What a full encoding of this snapshot writes: the same header,
+        // records and checksum, every blob encoded without a base. The
+        // delta ratio compares the bytes actually written against it.
+        let mut full_bytes = header.len() as u64 + 4;
         for q in &snap.queries {
             let mut rec = WireWriter::new();
             rec.put_u32(q.id);
@@ -319,10 +327,11 @@ impl CheckpointStore {
                 .encode(&mut rec)
                 .map_err(|e| DurabilityError::Snapshot(SnapshotError::Wire(e)))?;
             rec.put_len(q.blobs.len());
+            full_bytes += rec.len() as u64;
             sink.write_all(&rec.into_bytes())
                 .map_err(|e| io_err("write checkpoint", e))?;
             for (idx, blob) in q.blobs.iter().enumerate() {
-                full_bytes += blob.len() as u64;
+                full_bytes += FULL_BLOB_OVERHEAD + blob.len() as u64;
                 let base = if full {
                     None
                 } else {
@@ -372,7 +381,7 @@ impl CheckpointStore {
             position: snap.position,
             bytes,
             full,
-            delta_ratio_bp: bytes.saturating_mul(10_000) / full_bytes.max(1),
+            delta_ratio_bp: bytes.saturating_mul(10_000) / full_bytes,
             wal_segments_removed: 0,
         })
     }
@@ -563,6 +572,15 @@ mod tests {
         for blob in [&base, &edited, &grown, &shrunk, &disjoint, &Vec::new()] {
             assert_eq!(&roundtrip(Some(&base), blob), blob);
             assert_eq!(&roundtrip(None, blob), blob);
+        }
+    }
+
+    #[test]
+    fn full_blob_overhead_matches_the_encoding() {
+        for blob in [Vec::new(), vec![3u8; 1_000]] {
+            let mut w = WireWriter::new();
+            encode_blob(&mut w, None, &blob);
+            assert_eq!(w.len() as u64, FULL_BLOB_OVERHEAD + blob.len() as u64);
         }
     }
 

@@ -26,43 +26,46 @@
 //! copying collector ([`StreamingEvaluator::set_gc_every`]) keeps memory
 //! proportional to the live window on unbounded streams.
 //!
-//! # Batch evaluation and its exactness argument
+//! # One evaluation path, and why slicing cannot change outputs
 //!
-//! Algorithm 1 is stated tuple-at-a-time, and [`StreamingEvaluator::push`]
-//! mirrors it. The batch entry points
-//! ([`StreamingEvaluator::push_slice_for_each`] and friends) evaluate a
-//! whole slice per call instead, restructuring the *work* without
-//! changing the *outputs*:
+//! Algorithm 1 is stated tuple-at-a-time. Here every entry point —
+//! [`StreamingEvaluator::push`], [`StreamingEvaluator::push_at`], the
+//! per-tuple output variants, the `push_slice_*` batch calls and the
+//! runtime's shard workers — is a thin wrapper over one private core
+//! that evaluates a *positioned slice*: tuples with their stream
+//! positions, in increasing position order. A per-tuple call is a
+//! one-element slice. The core restructures the *work* of Algorithm 1,
+//! never its *outputs*:
 //!
-//! 1. **Unary pre-filter.** Every transition's unary predicate is
-//!    evaluated across the whole slice up front, transition-major, into
-//!    a compact bitmask (`crate::fire`); the per-position loop then
-//!    only visits transitions whose predicate accepted. The same
-//!    predicate evaluations happen on the same tuples — only their
-//!    order changes, and unary predicates are pure, so every firing
-//!    decision is identical.
-//! 2. **Hoisted per-position bookkeeping.** The `N_p` clear walks only
-//!    the states touched at the previous position (not all of `Q`), the
-//!    gather scratch and the bitmask are reused per-batch allocations,
-//!    and the window-policy dispatch is lifted out of the inner loop
-//!    (count windows compute `lo = i − w` inline; time windows still
-//!    advance the [`WindowClock`] ring per tuple, because the bound
-//!    depends on each tuple's timestamp). The bound `lo` fed to firing
-//!    and enumeration is computed *exactly* per position — it must be,
-//!    since enumeration still happens at each position.
+//! 1. **Unary predicates from a cache.** Before the per-position loop
+//!    the core ensures the automaton's predicate slots in a predicate
+//!    cache (`crate::shared`): the evaluator's own one-query cache when
+//!    it runs standalone, the shard's cache shared by every hosted query
+//!    inside a [`Runtime`](crate::runtime::Runtime). Each distinct
+//!    predicate is evaluated once per tuple of the slice, and
+//!    FireTransitions reads transition `e`'s outcome for tuple `j`
+//!    through the slot table. The bits are the same `matches()`
+//!    outcomes a tuple-at-a-time test computes — unary predicates are
+//!    pure — so every firing decision is identical.
+//! 2. **Exact per-position bookkeeping.** The bound `lo` comes from
+//!    [`WindowClock::observe`] at every position, firing, indexing and
+//!    enumeration run at every position over that position's `N_p`
+//!    lists, and the `N_p` clear walks only the states touched at the
+//!    previous position.
 //! 3. **Amortized GC.** The garbage-collection cadence check runs once
-//!    per batch (at the batch boundary) instead of once per tuple.
-//!    Collection is fully transparent to outputs (it only drops expired
-//!    or unreachable nodes), so deferring it within a batch cannot
-//!    change any enumeration; it only lets the arena grow by at most
-//!    one batch's worth of nodes past the configured cadence.
+//!    per call, at the slice boundary. Collection is fully transparent
+//!    to outputs (it only drops expired or unreachable nodes), so
+//!    deferring it within a slice cannot change any enumeration; it
+//!    only lets the arena grow by at most one slice's worth of nodes
+//!    past the configured cadence. For a one-element slice this is the
+//!    per-tuple check of Algorithm 1.
 //!
-//! Hence the outputs of a `push_slice_*` call are **bit-identical** —
-//! same valuations, same positions, same per-position grouping — to
-//! pushing the same tuples one at a time: enumeration still runs at
-//! every position, over the same `N_p` lists, with the same bound.
-//! `tests/batch_vectorized.rs` checks this differentially across
-//! engines, baselines, batch sizes and window policies.
+//! Hence the outputs are **bit-identical** — same valuations, same
+//! positions, same per-position grouping — however the stream is cut
+//! into slices. `tests/batch_vectorized.rs` checks this differentially
+//! across engines, baselines, batch sizes and window policies; the
+//! baselines evaluate predicates with `matches()` directly, so they stay
+//! the independent check.
 //!
 //! For hosting *many* queries over one stream — with relation-based
 //! routing and key-partitioned sharding across worker threads — see
@@ -72,6 +75,7 @@ use crate::api::Evaluator;
 use crate::ds::EnumStructure;
 use crate::enumerate;
 use crate::fire::FireStage;
+use crate::shared::PredicateCache;
 use crate::window::WindowClock;
 pub use crate::window::WindowPolicy;
 use cer_automata::pcea::Pcea;
@@ -131,6 +135,88 @@ pub struct StreamingEvaluator {
     /// Positions processed since the last collection.
     since_gc: u64,
     stats: EngineStats,
+    /// The standalone predicate path: a one-query cache and the
+    /// automaton's slot table into it, built by the first standalone
+    /// push and dropped whenever the automaton changes. A runtime-hosted
+    /// evaluator reads the shard's cache instead ([`ShardPredicates`])
+    /// and never builds one.
+    own: Option<OwnPredicates>,
+}
+
+/// A one-query [`PredicateCache`] with the slot table of one automaton.
+#[derive(Clone, Debug)]
+struct OwnPredicates {
+    cache: PredicateCache,
+    slots: Vec<u32>,
+}
+
+impl OwnPredicates {
+    fn new(pcea: &Pcea) -> Self {
+        let mut cache = PredicateCache::default();
+        let slots = cache.intern_transitions(pcea);
+        OwnPredicates { cache, slots }
+    }
+}
+
+/// A shard's predicate cache as seen by one hosted query: the cache
+/// (whose batch the shard worker began), the query's slot table into
+/// it, and the shard's stage histograms, which split a call into the
+/// predicate phase and the fire/index/enumerate tail (three `Instant`
+/// reads per call, not per tuple).
+pub(crate) struct ShardPredicates<'a> {
+    pub(crate) cache: &'a mut PredicateCache,
+    pub(crate) slots: &'a [u32],
+    pub(crate) timers: (&'a cer_obs::Histogram, &'a cer_obs::Histogram),
+}
+
+/// The tuples one core call evaluates: which entries of the batch the
+/// predicate pool is laid out over, at which stream positions.
+#[derive(Clone, Copy)]
+enum Positioned<'t> {
+    /// Every `tuples[j]`, at position `start + j`.
+    Run { start: u64, tuples: &'t [Tuple] },
+    /// The stamped tuples `tuples[sel[k]]`, in `sel` order.
+    Stamped {
+        tuples: &'t [(u64, Tuple)],
+        sel: &'t [u32],
+    },
+}
+
+impl<'t> Positioned<'t> {
+    /// Tuples in the underlying batch.
+    fn batch_len(self) -> usize {
+        match self {
+            Positioned::Run { tuples, .. } => tuples.len(),
+            Positioned::Stamped { tuples, .. } => tuples.len(),
+        }
+    }
+
+    /// Tuple `j` of the underlying batch.
+    fn tuple(self, j: usize) -> &'t Tuple {
+        match self {
+            Positioned::Run { tuples, .. } => &tuples[j],
+            Positioned::Stamped { tuples, .. } => &tuples[j].1,
+        }
+    }
+
+    /// Entries to evaluate.
+    fn len(self) -> usize {
+        match self {
+            Positioned::Run { tuples, .. } => tuples.len(),
+            Positioned::Stamped { sel, .. } => sel.len(),
+        }
+    }
+
+    /// Entry `k`: its batch index, stream position and tuple.
+    fn get(self, k: usize) -> (usize, u64, &'t Tuple) {
+        match self {
+            Positioned::Run { start, tuples } => (k, start + k as u64, &tuples[k]),
+            Positioned::Stamped { tuples, sel } => {
+                let j = sel[k] as usize;
+                (j, tuples[j].0, &tuples[j].1)
+            }
+        }
+    }
 }
 
 impl StreamingEvaluator {
@@ -166,6 +252,7 @@ impl StreamingEvaluator {
             gc_every: 0,
             since_gc: 0,
             stats: EngineStats::default(),
+            own: None,
         }
     }
 
@@ -221,85 +308,54 @@ impl StreamingEvaluator {
     ///
     /// Panics if `i` is behind a position already pushed.
     pub fn push_at(&mut self, t: &Tuple, i: u64) -> u64 {
-        assert!(
-            i >= self.next_pos,
-            "positions must increase: got {i}, expected at least {}",
-            self.next_pos
-        );
-        self.next_pos = i + 1;
-        self.stats.positions += 1;
-        let lo = self.clock.observe(i, t);
-        self.current_lo = lo;
-
-        self.stage.begin_position();
-        self.stage
-            .fire_transitions(&self.pcea, &mut self.ds, t, i, lo, &mut self.stats);
-        self.stage
-            .update_indices(&self.pcea, &mut self.ds, t, lo, &mut self.stats);
-
-        let gc_every = if self.gc_every == 0 {
-            self.clock.default_gc_every()
-        } else {
-            self.gc_every
+        let one = Positioned::Run {
+            start: i,
+            tuples: std::slice::from_ref(t),
         };
-        self.since_gc += 1;
-        if self.since_gc >= gc_every {
-            self.since_gc = 0;
-            self.stats.collections += 1;
-            self.stage.collect_garbage(&mut self.ds, lo);
-        }
+        self.push_positioned(one, None, None, |_, _| {});
         i
     }
 
-    /// The shared core of the batch entry points: evaluate `len` stamped
-    /// tuples, provided by `get` in strictly increasing position order,
-    /// with the fire stage vectorized across the slice (see the module
-    /// docs for the restructuring and its exactness argument).
-    ///
-    /// When `labels` is `Some(n)`, each position's new outputs are
-    /// enumerated with `n` labels and passed to `f(position, valuation)`
-    /// (`n = 0` yields placeholder valuations — enough to *count*
-    /// without materializing); `None` skips enumeration entirely.
-    fn push_slice_impl<'t, G, F>(&mut self, len: usize, get: G, labels: Option<usize>, mut f: F)
-    where
-        G: Fn(usize) -> (u64, &'t Tuple),
-        F: FnMut(u64, &Valuation),
-    {
-        if len == 0 {
+    /// The one evaluation core behind every push (see the module docs
+    /// for the restructuring and its exactness argument): ensure the
+    /// automaton's predicate slots — in `shard`'s cache, or in the
+    /// evaluator's own (built on first use) after beginning a batch
+    /// there — then per position
+    /// compute `lo`, fire transitions by reading pool bits through the
+    /// slot table, update the indices and, when `labels` is `Some(n)`,
+    /// enumerate the new outputs with `n` labels into
+    /// `f(position, valuation)` (`n = 0` yields placeholder valuations,
+    /// enough to count). The GC cadence is checked once, at the end.
+    fn push_positioned<F: FnMut(u64, &Valuation)>(
+        &mut self,
+        batch: Positioned<'_>,
+        shard: Option<ShardPredicates<'_>>,
+        labels: Option<usize>,
+        mut f: F,
+    ) {
+        if batch.len() == 0 {
             return;
         }
-        let stride = {
-            let g = &get;
-            self.stage
-                .prefilter_slice(&self.pcea, (0..len).map(move |j| g(j).1), len)
+        let (cache, slots, timers) = match shard {
+            Some(sh) => (sh.cache, sh.slots, Some(sh.timers)),
+            None => {
+                let own = self
+                    .own
+                    .get_or_insert_with(|| OwnPredicates::new(&self.pcea));
+                own.cache.begin_batch(batch.batch_len());
+                (&mut own.cache, &own.slots[..], None)
+            }
         };
-        self.push_slice_tail(stride, len, get, labels, &mut f);
-    }
-
-    /// The per-position back half of the batch path, shared by the
-    /// private prefilter ([`push_slice_impl`](Self::push_slice_impl))
-    /// and the runtime's shared prefilter
-    /// ([`push_slice_selected_shared`](Self::push_slice_selected_shared)):
-    /// fire, index, enumerate per position, then the amortized GC check
-    /// at the batch boundary. Identical machinery regardless of how the
-    /// mask was filled.
-    fn push_slice_tail<'t, G, F>(
-        &mut self,
-        stride: usize,
-        len: usize,
-        get: G,
-        labels: Option<usize>,
-        f: &mut F,
-    ) where
-        G: Fn(usize) -> (u64, &'t Tuple),
-        F: FnMut(u64, &Valuation),
-    {
-        // Hoist the window-policy dispatch: count windows are a pure
-        // function of the position; time windows must consult each
-        // tuple's timestamp, so they keep the per-tuple clock update.
-        let count_w = self.clock.count_window();
-        for j in 0..len {
-            let (i, t) = get(j);
+        let timed = timers.map(|timers| (timers, std::time::Instant::now()));
+        cache.ensure(slots, |j| batch.tuple(j));
+        let timed = timed.map(|((predicates, tail), started)| {
+            let now = std::time::Instant::now();
+            predicates.record_duration(now.duration_since(started));
+            (tail, now)
+        });
+        let cache = &*cache;
+        for k in 0..batch.len() {
+            let (j, i, t) = batch.get(k);
             assert!(
                 i >= self.next_pos,
                 "positions must increase: got {i}, expected at least {}",
@@ -307,21 +363,16 @@ impl StreamingEvaluator {
             );
             self.next_pos = i + 1;
             self.stats.positions += 1;
-            let lo = match count_w {
-                Some(w) => i.saturating_sub(w),
-                None => self.clock.observe(i, t),
-            };
+            let lo = self.clock.observe(i, t);
             self.current_lo = lo;
             self.stage.begin_position();
-            self.stage.fire_transitions_masked(
+            self.stats.extends += self.stage.fire(
                 &self.pcea,
                 &mut self.ds,
+                |e| cache.accepts(slots[e], j),
                 t,
                 i,
                 lo,
-                &mut self.stats,
-                j,
-                stride,
             );
             self.stage
                 .update_indices(&self.pcea, &mut self.ds, t, lo, &mut self.stats);
@@ -340,9 +391,9 @@ impl StreamingEvaluator {
                 }
             }
         }
-        // Amortized GC: the cadence check runs once per batch. Collection
-        // is transparent to outputs, so deferring it within the batch
-        // only lets the arena overshoot by at most one batch.
+        // Amortized GC: the cadence check runs once per call. Collection
+        // is transparent to outputs, so deferring it within the slice
+        // only lets the arena overshoot by at most one slice.
         let gc_every = if self.gc_every == 0 {
             self.clock.default_gc_every()
         } else {
@@ -353,21 +404,22 @@ impl StreamingEvaluator {
             self.stats.collections += 1;
             self.stage.collect_garbage(&mut self.ds, self.current_lo);
         }
+        if let Some((tail, at)) = timed {
+            tail.record_duration(at.elapsed());
+        }
     }
 
     /// Batch update: push a whole slice at consecutive positions,
     /// calling `f(position, valuation)` for each new output.
     ///
     /// Outputs are bit-identical to pushing the tuples one at a time —
-    /// enumeration still happens at every position — but the fire stage
-    /// is vectorized across the slice: unary predicates are pre-filtered
-    /// into a bitmask, per-position bookkeeping is hoisted into reusable
-    /// scratch, and the GC cadence check is amortized to the batch
-    /// boundary. See the module docs for the exactness argument.
+    /// enumeration still happens at every position — but each distinct
+    /// unary predicate is evaluated once per tuple for the whole slice,
+    /// and the GC cadence check is amortized to the slice boundary. See
+    /// the module docs for the exactness argument.
     pub fn push_slice_for_each<F: FnMut(u64, &Valuation)>(&mut self, batch: &[Tuple], f: F) {
-        let start = self.next_pos;
         let labels = Some(self.pcea.num_labels());
-        self.push_slice_impl(batch.len(), |j| (start + j as u64, &batch[j]), labels, f);
+        self.push_positioned(self.run(batch), None, labels, f);
     }
 
     /// Push a whole slice and collect the new outputs as
@@ -381,75 +433,35 @@ impl StreamingEvaluator {
     /// Push a whole slice and count the new outputs without
     /// materializing them.
     pub fn push_slice_count(&mut self, batch: &[Tuple]) -> usize {
-        let start = self.next_pos;
         let mut n = 0usize;
-        self.push_slice_impl(
-            batch.len(),
-            |j| (start + j as u64, &batch[j]),
-            Some(0),
-            |_, _| n += 1,
-        );
+        self.push_positioned(self.run(batch), None, Some(0), |_, _| n += 1);
         n
     }
 
-    /// Batched [`push_at`](Self::push_at) for the runtime shard workers:
-    /// evaluate the stamped tuples selected by `sel` (indices into
-    /// `tuples`, in increasing position order), with the unary
-    /// prefilter served by the shard's shared [`PredicateCache`]
-    /// instead of evaluated privately: `slots` maps each transition of
-    /// this query's automaton to its interned predicate slot, and the
-    /// mask is gathered from the cache's pool
-    /// ([`FireStage::prefilter_shared`](crate::fire)). `enumerate`
-    /// gates output enumeration — a shard skips it when no subscriber
-    /// listens. Everything after the mask — firing, indexing,
-    /// enumeration, GC — is the *same* code as the private
-    /// single-query path, and the mask bits are the same `matches()`
-    /// outcomes, so outputs are bit-identical.
-    ///
-    /// `timers`, when given, splits the call's wall time into the
-    /// shared-prefilter phase and the fire/index/enumerate tail — the
-    /// shard worker passes its stage histograms; timing is two `Instant`
-    /// reads per *batch*, not per tuple.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_slice_selected_shared<F: FnMut(u64, &Valuation)>(
+    /// `batch` at the next consecutive positions.
+    fn run<'t>(&self, batch: &'t [Tuple]) -> Positioned<'t> {
+        Positioned::Run {
+            start: self.next_pos,
+            tuples: batch,
+        }
+    }
+
+    /// The shard worker's push: evaluate the stamped tuples `tuples[j]`
+    /// for `j` in `sel` (increasing positions), reading unary predicates
+    /// from the shard's cache, whose batch over `tuples` the worker has
+    /// begun. `enumerate` gates output enumeration — a shard skips it
+    /// when no subscriber listens.
+    pub(crate) fn push_stamped<F: FnMut(u64, &Valuation)>(
         &mut self,
         tuples: &[(u64, Tuple)],
         sel: &[u32],
-        slots: &[u32],
-        cache: &mut crate::shared::PredicateCache,
+        shard: ShardPredicates<'_>,
         enumerate: bool,
-        timers: Option<(&cer_obs::Histogram, &cer_obs::Histogram)>,
-        mut f: F,
+        f: F,
     ) {
-        if sel.is_empty() {
-            return;
-        }
-        let prefilter_at = timers.map(|_| std::time::Instant::now());
-        let stride = self
-            .stage
-            .prefilter_shared(&self.pcea, cache, slots, sel, tuples);
-        let tail_at = std::time::Instant::now();
-        if let (Some((prefilter, _)), Some(at)) = (timers, prefilter_at) {
-            prefilter.record_duration(tail_at.saturating_duration_since(at));
-        }
-        let labels = if enumerate {
-            Some(self.pcea.num_labels())
-        } else {
-            None
-        };
-        self.push_slice_tail(
-            stride,
-            sel.len(),
-            |k| {
-                let (i, t) = &tuples[sel[k] as usize];
-                (*i, t)
-            },
-            labels,
-            &mut f,
-        );
-        if let Some((_, tail)) = timers {
-            tail.record_duration(tail_at.elapsed());
-        }
+        let labels = enumerate.then(|| self.pcea.num_labels());
+        let batch = Positioned::Stamped { tuples, sel };
+        self.push_positioned(batch, Some(shard), labels, f);
     }
 
     /// Checkpoint encoding of every cross-position piece of this
@@ -516,6 +528,7 @@ impl StreamingEvaluator {
             gc_every,
             since_gc,
             stats,
+            own: None,
         })
     }
 
@@ -523,7 +536,9 @@ impl StreamingEvaluator {
     /// evaluator (restore-time shard-count change,
     /// [`crate::checkpoint`]): arenas concatenate with remapped ids,
     /// `H` tables union (replica key sets are disjoint under sound key
-    /// partitioning), window clocks interleave, and counters sum.
+    /// partitioning), window clocks interleave, and counters sum. The
+    /// replicas share one automaton, so this evaluator's own predicate
+    /// cache, if built, stays valid.
     pub(crate) fn absorb_replica(&mut self, other: StreamingEvaluator) {
         let offset = self.ds.absorb(other.ds);
         self.stage
@@ -599,6 +614,7 @@ impl StreamingEvaluator {
             pcea,
             clock,
             gc_every,
+            own: None,
             ..self
         })
     }
@@ -622,35 +638,19 @@ impl StreamingEvaluator {
 
     /// Push a tuple and collect the new outputs.
     pub fn push_collect(&mut self, t: &Tuple) -> Vec<Valuation> {
-        self.push(t);
         let mut out = Vec::new();
-        self.for_each_output(|v| out.push(v.clone()));
+        self.push_for_each(t, |v| out.push(v.clone()));
         out
     }
 
     /// Push a tuple and count the new outputs without materializing them.
     pub fn push_count(&mut self, t: &Tuple) -> usize {
-        self.push(t);
-        self.count_outputs()
-    }
-
-    /// Count this position's new outputs without materializing them.
-    fn count_outputs(&self) -> usize {
-        let mut n = 0usize;
-        for q in self.pcea.finals() {
-            for &node in self.stage.nodes_at(q.index()) {
-                enumerate::for_each_valuation_from(&self.ds, node, self.current_lo, 0, |_| {
-                    n += 1;
-                });
-            }
-        }
-        n
+        self.push_slice_count(std::slice::from_ref(t))
     }
 
     /// Push a tuple, calling `f` for each new output.
-    pub fn push_for_each<F: FnMut(&Valuation)>(&mut self, t: &Tuple, f: F) {
-        self.push(t);
-        self.for_each_output(f);
+    pub fn push_for_each<F: FnMut(&Valuation)>(&mut self, t: &Tuple, mut f: F) {
+        self.push_slice_for_each(std::slice::from_ref(t), |_, v| f(v));
     }
 }
 
@@ -691,10 +691,17 @@ pub fn run_to_end(pcea: Pcea, w: u64, stream: &[Tuple]) -> Vec<(u64, Vec<Valuati
 mod tests {
     use super::*;
     use cer_automata::ccea::paper_c0;
-    use cer_automata::pcea::paper_p0;
+    use cer_automata::pcea::{paper_p0, PceaBuilder};
+    use cer_automata::predicate::{
+        AtomPattern, CmpOp, EqPredicate, PatTerm, PosGroup, UnaryPredicate,
+    };
     use cer_automata::reference::ReferenceEval;
+    use cer_automata::valuation::{Label, LabelSet};
     use cer_common::gen::sigma0_prefix;
-    use cer_common::Schema;
+    use cer_common::tuple::tup;
+    use cer_common::{Schema, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Differential harness: engine output == reference oracle at every
     /// position and for several window sizes.
@@ -901,6 +908,246 @@ mod tests {
         let got = batched.push_slice_collect(&stream);
         assert_eq!(got.len(), want.len());
         assert_eq!(got.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>(), want);
+    }
+
+    /// One initial transition carrying `pred` into a final state: the
+    /// automaton outputs at position `i` iff `pred` accepts tuple `i`.
+    fn one_predicate(pred: UnaryPredicate) -> Pcea {
+        let mut b = PceaBuilder::new(1);
+        let q = b.add_state();
+        b.add_initial_transition(pred, LabelSet::singleton(Label(0)), q);
+        b.mark_final(q);
+        b.build()
+    }
+
+    /// 70 σ0 tuples (more than one 64-bit pool word), relations mixed.
+    fn mixed_tuples() -> Vec<Tuple> {
+        let (_, r, s, t) = Schema::sigma0();
+        (0..70i64)
+            .map(|i| match i % 3 {
+                0 => tup(r, [i % 3, i % 4]),
+                1 => tup(s, [i % 2, i % 5]),
+                _ => tup(t, [i % 4]),
+            })
+            .collect()
+    }
+
+    /// Every closed form of [`UnaryPredicate`], plus a `Custom` closure.
+    fn every_form() -> Vec<UnaryPredicate> {
+        let (_, r, s, t) = Schema::sigma0();
+        let cmp = |pos, op, v: i64| UnaryPredicate::Cmp {
+            pos,
+            op,
+            value: Value::Int(v),
+        };
+        vec![
+            UnaryPredicate::True,
+            UnaryPredicate::Relation(s),
+            UnaryPredicate::OneOf(Box::new([r, t])),
+            UnaryPredicate::Atom(AtomPattern {
+                relation: r,
+                terms: Box::new([PatTerm::Var(0), PatTerm::Var(0)]),
+            }),
+            UnaryPredicate::Groups {
+                relation: s,
+                arity: 2,
+                groups: Box::new([PosGroup {
+                    positions: Box::new([1]),
+                    constant: Some(Value::Int(1)),
+                }]),
+            },
+            cmp(1, CmpOp::Ge, 2),
+            UnaryPredicate::Relation(r).and(cmp(0, CmpOp::Lt, 2)),
+            UnaryPredicate::Custom(Arc::new(|t: &Tuple| t.get(0) == &Value::Int(0))),
+        ]
+    }
+
+    #[test]
+    fn one_predicate_path_equals_matches_for_every_form() {
+        let tuples = mixed_tuples();
+        // Stamped batch with position gaps and a selected subset.
+        let stamped: Vec<(u64, Tuple)> = tuples
+            .iter()
+            .enumerate()
+            .map(|(j, t)| (100 + 2 * j as u64, t.clone()))
+            .collect();
+        let sel: Vec<u32> = (0..70).filter(|j| j % 3 != 1).collect();
+        let mut shard = PredicateCache::default();
+        let mut hosted = Vec::new();
+        for pred in every_form() {
+            let want = |ts: &[Tuple], base: u64| -> Vec<u64> {
+                (0..ts.len() as u64)
+                    .filter(|&j| pred.matches(&ts[j as usize]))
+                    .map(|j| base + j)
+                    .collect()
+            };
+            let positions =
+                |out: Vec<(u64, Valuation)>| out.into_iter().map(|(i, _)| i).collect::<Vec<_>>();
+            // One-tuple batches.
+            let mut single = StreamingEvaluator::new(one_predicate(pred.clone()), 1_000);
+            let got: Vec<u64> = (0..70u64)
+                .filter(|_| single.push_count(&tuples[single.next_position() as usize]) == 1)
+                .collect();
+            assert_eq!(got, want(&tuples, 0), "{pred:?}: one-tuple batches");
+            // A mixed-relation batch, then a 70-tuple batch.
+            let mut sliced = StreamingEvaluator::new(one_predicate(pred.clone()), 1_000);
+            let got = positions(sliced.push_slice_collect(&tuples[..10]));
+            assert_eq!(got, want(&tuples[..10], 0), "{pred:?}: mixed batch");
+            let got = positions(sliced.push_slice_collect(&tuples));
+            assert_eq!(got, want(&tuples, 10), "{pred:?}: 70-tuple batch");
+            // Hosted on a shard cache shared with every other form.
+            let eval = StreamingEvaluator::new(one_predicate(pred.clone()), 1_000);
+            let slots = shard.intern_transitions(eval.pcea());
+            hosted.push((pred, eval, slots));
+        }
+        shard.begin_batch(stamped.len());
+        let hist = cer_obs::Histogram::new();
+        for (pred, eval, slots) in &mut hosted {
+            let mut got = Vec::new();
+            let preds = ShardPredicates {
+                cache: &mut shard,
+                slots,
+                timers: (&hist, &hist),
+            };
+            eval.push_stamped(&stamped, &sel, preds, true, |i, _| got.push(i));
+            let want: Vec<u64> = sel
+                .iter()
+                .map(|&j| &stamped[j as usize])
+                .filter(|(_, t)| pred.matches(t))
+                .map(|(i, _)| *i)
+                .collect();
+            assert_eq!(got, want, "{pred:?}: selected subset");
+        }
+    }
+
+    #[test]
+    fn shared_custom_closure_runs_once_per_tuple_per_batch() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = calls.clone();
+        let pred = UnaryPredicate::Custom(Arc::new(move |t: &Tuple| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            t.get(0) == &Value::Int(0)
+        }));
+        let stamped: Vec<(u64, Tuple)> = mixed_tuples()
+            .into_iter()
+            .zip(0..)
+            .map(|(t, i)| (i, t))
+            .collect();
+        let mut shard = PredicateCache::default();
+        let mut queries: Vec<_> = (0..2)
+            .map(|_| {
+                let eval = StreamingEvaluator::new(one_predicate(pred.clone()), 1_000);
+                let slots = shard.intern_transitions(eval.pcea());
+                (eval, slots)
+            })
+            .collect();
+        assert_eq!(
+            queries[0].1, queries[1].1,
+            "one slot for the shared closure"
+        );
+        let sel: Vec<u32> = (0..70).collect();
+        let hist = cer_obs::Histogram::new();
+        for batch in [&stamped[..1], &stamped[1..11], &stamped[11..]] {
+            let before = calls.load(Ordering::Relaxed);
+            shard.begin_batch(batch.len());
+            let mut outputs = 0;
+            for (eval, slots) in &mut queries {
+                let preds = ShardPredicates {
+                    cache: &mut shard,
+                    slots,
+                    timers: (&hist, &hist),
+                };
+                eval.push_stamped(batch, &sel[..batch.len()], preds, true, |_, _| outputs += 1);
+            }
+            assert_eq!(calls.load(Ordering::Relaxed) - before, batch.len());
+            let want = batch
+                .iter()
+                .filter(|(_, t)| t.get(0) == &Value::Int(0))
+                .count();
+            assert_eq!(outputs, 2 * want);
+        }
+    }
+
+    /// `P0` with the unary predicate of its `R` transition replaced: the
+    /// same skeleton, so it can take over a `P0` evaluator's state.
+    fn p0_with_r_predicate(pred: UnaryPredicate) -> Pcea {
+        let (_, r, s, t) = Schema::sigma0();
+        let dot = LabelSet::singleton(Label(0));
+        let mut b = PceaBuilder::new(1);
+        let q = b.add_states(3);
+        b.add_initial_transition(UnaryPredicate::Relation(t), dot, q[0]);
+        b.add_initial_transition(UnaryPredicate::Relation(s), dot, q[1]);
+        b.add_transition(
+            vec![
+                (q[0], EqPredicate::on_positions(t, [0usize], r, [0usize])),
+                (
+                    q[1],
+                    EqPredicate::on_positions(s, [0usize, 1], r, [0usize, 1]),
+                ),
+            ],
+            pred,
+            dot,
+            q[2],
+        );
+        b.mark_final(q[2]);
+        b.build()
+    }
+
+    #[test]
+    fn owned_slot_tables_follow_rebuilt_automata() {
+        use cer_common::gen::Sigma0Gen;
+        use cer_common::Stream;
+        let (_, r, s, t) = Schema::sigma0();
+        let w = 30;
+        // Prefix values stay below 2, so `P0` and the swapped automaton
+        // (R tuples only with x < 2) agree on it; the suffix differs.
+        let mut narrow = Sigma0Gen::new(r, s, t, 5).with_domains(2, 2);
+        let mut wide = Sigma0Gen::new(r, s, t, 6).with_domains(4, 4);
+        let prefix: Vec<Tuple> = (0..60).map(|_| narrow.next_tuple().unwrap()).collect();
+        let suffix: Vec<Tuple> = (0..200).map(|_| wide.next_tuple().unwrap()).collect();
+        let old = paper_p0(r, s, t);
+        let new = p0_with_r_predicate(UnaryPredicate::Relation(r).and(UnaryPredicate::Cmp {
+            pos: 0,
+            op: CmpOp::Lt,
+            value: Value::Int(2),
+        }));
+        let run = |mut e: StreamingEvaluator| -> Vec<(u64, Valuation)> {
+            let mut out = Vec::new();
+            for (k, tu) in suffix.iter().enumerate() {
+                if k % 2 == 0 {
+                    let i = e.next_position();
+                    out.extend(e.push_collect(tu).into_iter().map(|v| (i, v)));
+                } else {
+                    out.extend(e.push_slice_collect(std::slice::from_ref(tu)));
+                }
+            }
+            out
+        };
+        let fed = |pcea: &Pcea| {
+            let mut e = StreamingEvaluator::new(pcea.clone(), w);
+            e.push_slice_count(&prefix);
+            e
+        };
+        // The uninterrupted evaluator of the new automaton.
+        let want = run(fed(&new));
+        assert!(!want.is_empty());
+        assert_ne!(run(fed(&old)), want, "the swap changes the suffix outputs");
+
+        let swapped = fed(&old)
+            .replace_automaton(new.clone(), WindowPolicy::Count(w), 0)
+            .expect("same window kind");
+        assert_eq!(run(swapped), want, "replace_automaton");
+        for pcea in [&old, &new] {
+            let bytes = fed(pcea).snapshot_bytes().unwrap();
+            let restored = StreamingEvaluator::from_snapshot_bytes(new.clone(), &bytes).unwrap();
+            assert_eq!(run(restored), want, "from_snapshot_bytes");
+        }
+        let bytes = fed(&old).snapshot_bytes().unwrap();
+        let restored = StreamingEvaluator::from_snapshot_bytes(old, &bytes).unwrap();
+        let swapped = restored
+            .replace_automaton(new, WindowPolicy::Count(w), 0)
+            .expect("same window kind");
+        assert_eq!(run(swapped), want, "restore, then replace_automaton");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! rebuilt each position, and the gather scratch — and exposes them as
 //! explicit steps:
 //!
-//! * [`FireStage::fire_transitions`] — for every transition
+//! * [`FireStage::fire`] — for every transition
 //!   `(P, U, B, L, q)` whose unary predicate accepts the current tuple
 //!   and whose every source slot has a stored run matching the tuple's
 //!   join key, `extend` the gathered runs into a fresh `DS_w` node at
@@ -16,17 +16,10 @@
 //! * [`FireStage::collect_garbage`] — drop dead `H` entries and compact
 //!   the arena around the live roots.
 //!
-//! For batch evaluation ([`StreamingEvaluator::push_slice_for_each`]),
-//! the stage also owns the *vectorized* front half of FireTransitions:
-//! [`FireStage::prefilter_slice`] evaluates every transition's unary
-//! predicate across a whole slice of tuples into a compact bitmask
-//! (one bit per `(tuple, transition)` pair), so the per-position loop
-//! ([`FireStage::fire_transitions_masked`]) only visits transitions
-//! whose unary predicate already accepted — a transition-major sweep
-//! with much better predicate/branch locality than re-dispatching every
-//! predicate at every position. The bitmask is a pure reordering of the
-//! same predicate evaluations the tuple-at-a-time path performs, so
-//! firing decisions are bit-identical.
+//! The unary test `t ∈ U` is not evaluated here: the caller reads it
+//! from a [`PredicateCache`](crate::shared) pool, where each distinct
+//! predicate was evaluated once per tuple of the batch, and passes it to
+//! [`FireStage::fire`] as a per-transition lookup.
 //!
 //! `N_p` bookkeeping is also batch-friendly: instead of clearing every
 //! state's node list at every position, the stage records which states
@@ -37,14 +30,11 @@
 //! composes these with the ingest/window stage
 //! ([`WindowClock`](crate::window::WindowClock)) and the enumeration
 //! stage ([`crate::enumerate`]).
-//!
-//! [`StreamingEvaluator::push_slice_for_each`]: crate::evaluator::StreamingEvaluator::push_slice_for_each
 
 use crate::ds::{EnumStructure, NodeId};
 use crate::evaluator::EngineStats;
-use crate::shared::PredicateCache;
-use cer_automata::pcea::{Pcea, Transition};
-use cer_automata::predicate::{Key, UnaryPredicate};
+use cer_automata::pcea::Pcea;
+use cer_automata::predicate::Key;
 use cer_common::hash::FxHashMap;
 use cer_common::Tuple;
 
@@ -63,10 +53,6 @@ pub(crate) struct FireStage {
     touched: Vec<u32>,
     /// Scratch for gathered source nodes.
     gather: Vec<NodeId>,
-    /// Per-batch unary pre-filter: bit `e % 64` of word
-    /// `j * stride + e / 64` is set iff transition `e`'s unary predicate
-    /// accepts tuple `j` of the current slice. Reused across batches.
-    unary_mask: Vec<u64>,
 }
 
 impl FireStage {
@@ -76,7 +62,6 @@ impl FireStage {
             n_state: vec![Vec::new(); num_states],
             touched: Vec::new(),
             gather: Vec::new(),
-            unary_mask: Vec::new(),
         }
     }
 
@@ -99,185 +84,44 @@ impl FireStage {
         }
     }
 
-    /// The shared back half of FireTransitions for one transition whose
-    /// unary predicate already accepted `t`: gather matching stored runs
-    /// and `extend` them with the tuple at position `i`.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_one(
-        &mut self,
-        e_idx: usize,
-        tr: &Transition,
-        ds: &mut EnumStructure,
-        t: &Tuple,
-        i: u64,
-        lo: u64,
-        stats: &mut EngineStats,
-    ) {
-        self.gather.clear();
-        for (slot, b) in tr.binary.iter().enumerate() {
-            let Some(key) = b.right.extract(t) else {
-                return;
-            };
-            match self.h.get(&(e_idx as u32, slot as u32, key)) {
-                Some(&node) if ds.max_start(node) >= lo => self.gather.push(node),
-                _ => return,
-            }
-        }
-        let node = ds.extend(tr.labels, i, &self.gather);
-        stats.extends += 1;
-        let q = tr.target.index();
-        if self.n_state[q].is_empty() {
-            self.touched.push(q as u32);
-        }
-        self.n_state[q].push(node);
-    }
-
-    /// FireTransitions: gather matching stored runs per transition and
-    /// `extend` them with the current tuple at position `i`.
-    pub(crate) fn fire_transitions(
+    /// FireTransitions: for every transition `e` whose unary predicate
+    /// accepts the tuple `t` at position `i` (`accepts(e)`, read from the
+    /// predicate cache) and whose every source slot has a stored run
+    /// matching `t`'s join key, `extend` the gathered runs into a fresh
+    /// node at the target state. Returns the number of nodes created.
+    pub(crate) fn fire(
         &mut self,
         pcea: &Pcea,
         ds: &mut EnumStructure,
+        accepts: impl Fn(usize) -> bool,
         t: &Tuple,
         i: u64,
         lo: u64,
-        stats: &mut EngineStats,
-    ) {
-        for (e_idx, tr) in pcea.transitions().iter().enumerate() {
-            if !tr.unary.matches(t) {
+    ) -> u64 {
+        let mut extends = 0;
+        'transitions: for (e_idx, tr) in pcea.transitions().iter().enumerate() {
+            if !accepts(e_idx) {
                 continue;
             }
-            self.fire_one(e_idx, tr, ds, t, i, lo, stats);
+            self.gather.clear();
+            for (slot, b) in tr.binary.iter().enumerate() {
+                let Some(key) = b.right.extract(t) else {
+                    continue 'transitions;
+                };
+                match self.h.get(&(e_idx as u32, slot as u32, key)) {
+                    Some(&node) if ds.max_start(node) >= lo => self.gather.push(node),
+                    _ => continue 'transitions,
+                }
+            }
+            let node = ds.extend(tr.labels, i, &self.gather);
+            extends += 1;
+            let q = tr.target.index();
+            if self.n_state[q].is_empty() {
+                self.touched.push(q as u32);
+            }
+            self.n_state[q].push(node);
         }
-    }
-
-    /// Vectorized front half of FireTransitions: evaluate every
-    /// transition's unary predicate across the whole slice into the
-    /// reusable [`unary_mask`](Self::unary_mask) bitmask, transition by
-    /// transition. Returns the per-tuple stride in 64-bit words.
-    ///
-    /// The iterator must yield exactly `len` tuples — the same tuples,
-    /// in the same order, that are later passed to
-    /// [`fire_transitions_masked`](Self::fire_transitions_masked) with
-    /// their slice index `j`.
-    pub(crate) fn prefilter_slice<'t>(
-        &mut self,
-        pcea: &Pcea,
-        tuples: impl Iterator<Item = &'t Tuple> + Clone,
-        len: usize,
-    ) -> usize {
-        let n_trans = pcea.transitions().len();
-        let stride = n_trans.div_ceil(64).max(1);
-        self.unary_mask.clear();
-        self.unary_mask.resize(len * stride, 0);
-        // Is the whole slice one relation? One cheap pass lets relation
-        // tests below resolve per-transition instead of per-tuple.
-        let batch_rel = {
-            let mut it = tuples.clone();
-            it.next()
-                .map(|t0| t0.relation())
-                .filter(|&r0| tuples.clone().all(|t| t.relation() == r0))
-        };
-        for (e_idx, tr) in pcea.transitions().iter().enumerate() {
-            let (word, bit) = (e_idx / 64, 1u64 << (e_idx % 64));
-            // `True` accepts everything: fill the column without
-            // touching a single tuple.
-            if matches!(tr.unary, UnaryPredicate::True) {
-                for j in 0..len {
-                    self.unary_mask[j * stride + word] |= bit;
-                }
-                continue;
-            }
-            if let Some(r) = batch_rel {
-                // Relation-constant slice: an exact relation test is
-                // all-or-nothing, and any predicate that rejects the
-                // relation skips the slice outright.
-                if matches!(tr.unary, UnaryPredicate::Relation(x) if x == r) {
-                    for j in 0..len {
-                        self.unary_mask[j * stride + word] |= bit;
-                    }
-                    continue;
-                }
-                if tr.unary.rejects_relation(r) {
-                    continue;
-                }
-            }
-            for (j, t) in tuples.clone().enumerate() {
-                if tr.unary.matches(t) {
-                    self.unary_mask[j * stride + word] |= bit;
-                }
-            }
-        }
-        stride
-    }
-
-    /// Shared-prefilter variant for the multi-query runtime: instead of
-    /// evaluating `tr.unary` per transition, gather each transition's
-    /// bits from the shard's [`PredicateCache`] through the query's
-    /// indirection table `slots` (transition index → shared predicate
-    /// slot). The cache evaluates each *distinct* predicate at most
-    /// once per tuple per batch, no matter how many queries reference
-    /// it; this fan-out is pure bit movement.
-    ///
-    /// `sel` holds the query's tuple indices into the stamped batch
-    /// `tuples` (increasing). The produced mask is laid out over `sel`
-    /// exactly as [`prefilter_slice`](Self::prefilter_slice) lays it
-    /// over its slice, so
-    /// [`fire_transitions_masked`](Self::fire_transitions_masked)
-    /// consumes both identically — and the bits themselves are the same
-    /// `matches()` outcomes, so firing decisions are bit-identical.
-    pub(crate) fn prefilter_shared(
-        &mut self,
-        pcea: &Pcea,
-        cache: &mut PredicateCache,
-        slots: &[u32],
-        sel: &[u32],
-        tuples: &[(u64, Tuple)],
-    ) -> usize {
-        let n_trans = pcea.transitions().len();
-        debug_assert_eq!(slots.len(), n_trans);
-        let stride = n_trans.div_ceil(64).max(1);
-        self.unary_mask.clear();
-        self.unary_mask.resize(sel.len() * stride, 0);
-        for (e_idx, &slot) in slots.iter().enumerate() {
-            let (word, bit) = (e_idx / 64, 1u64 << (e_idx % 64));
-            let pool = cache.ensure(slot, tuples);
-            for (jj, &j) in sel.iter().enumerate() {
-                let j = j as usize;
-                if pool[j / 64] >> (j % 64) & 1 == 1 {
-                    self.unary_mask[jj * stride + word] |= bit;
-                }
-            }
-        }
-        stride
-    }
-
-    /// FireTransitions for tuple `j` of a pre-filtered slice: identical
-    /// to [`fire_transitions`](Self::fire_transitions), but the unary
-    /// predicate outcomes are read from the bitmask filled by
-    /// [`prefilter_slice`](Self::prefilter_slice) instead of being
-    /// re-evaluated, and non-matching transitions are skipped in bulk.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fire_transitions_masked(
-        &mut self,
-        pcea: &Pcea,
-        ds: &mut EnumStructure,
-        t: &Tuple,
-        i: u64,
-        lo: u64,
-        stats: &mut EngineStats,
-        j: usize,
-        stride: usize,
-    ) {
-        let trs = pcea.transitions();
-        for k in 0..stride {
-            let mut word = self.unary_mask[j * stride + k];
-            while word != 0 {
-                let e_idx = k * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.fire_one(e_idx, &trs[e_idx], ds, t, i, lo, stats);
-            }
-        }
+        extends
     }
 
     /// UpdateIndices: make this position's runs visible to future tuples

@@ -26,10 +26,10 @@
 //!   reserve position blocks and route/stage outside any global lock,
 //!   and a per-shard reorder stage restores position order), coalescing
 //!   queued tuples into slices of up to [`IngestConfig::max_batch`](crate::ingest::IngestConfig::max_batch) per
-//!   wakeup and evaluating each query's subsequence through the
-//!   vectorized batch path
-//!   ([`StreamingEvaluator::push_slice_for_each`] and the module docs
-//!   of [`crate::evaluator`] for why outputs are bit-identical to
+//!   wakeup and evaluating each query's subsequence in one call to the
+//!   evaluator's single evaluation core, with unary predicates read from
+//!   the shard's shared predicate cache (see the module docs of
+//!   [`crate::evaluator`] for why outputs are bit-identical to
 //!   tuple-at-a-time). The synchronous [`Runtime::push_batch`] stays:
 //!   it ingests, fences with [`Runtime::drain`], and collects the
 //!   batch's matches. Producers that want the hot path decoupled from
@@ -39,10 +39,10 @@
 //!
 //! Outputs are *identical* to running one [`StreamingEvaluator`] per
 //! query over the full stream: shard evaluators are fed global stream
-//! positions via [`StreamingEvaluator::push_at`], so window semantics
-//! and reported positions do not depend on the shard count. (For time
-//! windows this relies on the documented non-decreasing-timestamp
-//! contract.)
+//! positions, as [`StreamingEvaluator::push_at`] takes them, so window
+//! semantics and reported positions do not depend on the shard count.
+//! (For time windows this relies on the documented
+//! non-decreasing-timestamp contract.)
 //!
 //! ```
 //! use cer_core::runtime::{Partition, QuerySpec, Runtime};
@@ -76,7 +76,7 @@ use crate::durability::{
     encode_control, io_err, replay_dir, CheckpointStats, CheckpointStore, DurabilityError,
     DurabilityHandle, DurabilityStatus, Wal, WalOp, WalRecord,
 };
-use crate::evaluator::{EngineStats, StreamingEvaluator};
+use crate::evaluator::{EngineStats, ShardPredicates, StreamingEvaluator};
 use crate::ingest::{
     broadcast, key_shard, BackpressurePolicy, Closed, FenceKind, Fenced, IngestHandle,
     IngestShared, InstallQuery, QueryMeta, QueueStats, ShardMsg, ShardQueue, ShardState, Staging,
@@ -350,7 +350,7 @@ pub struct RuntimeStats {
     /// each old shard's state-move stall.
     pub rescales: RescaleCounters,
     /// Shared-evaluation effectiveness, summed across shards: predicate
-    /// dedup (distinct vs referenced predicates, prefilter `matches()`
+    /// dedup (distinct vs referenced predicates, predicate `matches()`
     /// calls performed vs avoided) and skeleton grouping (group count
     /// and sizes, concatenated across shards).
     pub shared: SharedEvalStats,
@@ -367,12 +367,11 @@ pub struct SharedEvalStats {
     /// transition per hosted query replica). The gap to
     /// `distinct_predicates` is the dedup factor.
     pub referenced_predicates: usize,
-    /// Cumulative unary `matches()` calls the shared prefilter actually
-    /// performed.
+    /// Cumulative unary `matches()` calls the shared predicate cache
+    /// actually performed.
     pub prefilter_evals_done: u64,
-    /// Cumulative unary `matches()` calls avoided versus private
-    /// per-query prefilters (which pay one call per tuple per
-    /// referencing transition).
+    /// Cumulative unary `matches()` calls avoided versus one `matches()`
+    /// per referencing transition per batch tuple.
     pub prefilter_evals_saved: u64,
     /// Skeleton-compatible query groups currently live (summed across
     /// shards).
@@ -2110,12 +2109,7 @@ fn host_query(
     partition: Partition,
     listens: Option<Vec<RelationId>>,
 ) {
-    let slots = eval
-        .pcea()
-        .transitions()
-        .iter()
-        .map(|tr| cache.intern(&tr.unary))
-        .collect();
+    let slots = cache.intern_transitions(eval.pcea());
     let k = queries.len();
     let last_regressions = eval.stats().ts_regressions;
     queries.push(LocalQuery {
@@ -2226,7 +2220,7 @@ fn shard_loop(
                 // already racy by construction).
                 listening.clear();
                 listening.extend(queries.iter().map(|q| shared.subs.has_subscriber_for(q.id)));
-                cache.begin_batch(&tuples);
+                cache.begin_batch(tuples.len());
                 // Select each *group's* subsequence of the slice (every
                 // member shares listens and partition, so the group
                 // selection is exactly each member's), then evaluate
@@ -2261,14 +2255,13 @@ fn shard_loop(
                     for &k in &g.members {
                         let q = &mut queries[k];
                         let id = q.id;
-                        q.eval.push_slice_selected_shared(
-                            &tuples,
-                            &g.sel,
-                            &q.slots,
-                            &mut cache,
-                            listening[k],
-                            Some((&stage.prefilter, &stage.eval_tail)),
-                            |position, v| {
+                        let preds = ShardPredicates {
+                            cache: &mut cache,
+                            slots: &q.slots,
+                            timers: (&stage.prefilter, &stage.eval_tail),
+                        };
+                        q.eval
+                            .push_stamped(&tuples, &g.sel, preds, listening[k], |position, v| {
                                 shared.subs.publish(&MatchEvent {
                                     position,
                                     query: id,
@@ -2277,8 +2270,7 @@ fn shard_loop(
                                 if shared.metrics.e2e_should_sample() {
                                     shared.metrics.e2e.record_duration(ingest_at.elapsed());
                                 }
-                            },
-                        );
+                            });
                         // Journal new time-window clamps as a per-batch
                         // delta — one cheap counter read per query per
                         // batch, an event only when the stream actually

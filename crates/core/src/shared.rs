@@ -1,38 +1,46 @@
-//! Cross-query shared evaluation: the per-shard predicate cache.
+//! The unary-predicate cache: the one place a transition's unary
+//! predicate is evaluated.
 //!
-//! Serving thousands of standing queries means most unary predicates are
-//! referenced by *many* transitions across *many* queries — often the
-//! very same structural predicate (relation tests above all). The naive
-//! prefilter re-evaluates `tr.unary.matches(t)` once per referencing
-//! transition per tuple, so per-batch cost scales linearly with query
-//! count even when the distinct-predicate population is tiny.
+//! FireTransitions (Algorithm 1) tests `t ∈ U` for every transition
+//! `(P, U, B, L, q)`. Most unary predicates are referenced by *many*
+//! transitions — within one automaton and, on a shard hosting thousands
+//! of standing queries, across queries — and are often the very same
+//! structural predicate (relation tests above all). Testing
+//! `tr.unary.matches(t)` once per referencing transition per tuple
+//! would make the cost scale with the number of transitions even when
+//! the distinct-predicate population is tiny.
 //!
-//! [`PredicateCache`] breaks that: each shard worker interns every
-//! registered transition's unary predicate under its structural
-//! [`PredicateKey`] and, once per drained batch, evaluates each
-//! *distinct* predicate at most once per tuple into a slot-major shared
-//! bitmask pool. Queries fan their per-transition masks out of the pool
-//! by bit-gather (`crate::fire::FireStage::prefilter_shared`) — no
-//! predicate re-evaluation, no tuple dereference.
+//! [`PredicateCache`] interns every transition's unary predicate under
+//! its structural [`PredicateKey`] and, once per batch, evaluates each
+//! *distinct* predicate at most once per tuple into a slot-major bitmask
+//! pool. An evaluator maps its transitions to slots through a slot table
+//! ([`intern_transitions`](PredicateCache::intern_transitions)) and
+//! reads each transition's bit straight from the pool
+//! ([`accepts`](PredicateCache::accepts)) — no re-evaluation, no copy.
 //!
-//! Evaluation of a slot is **lazy** (only slots some routed group
-//! actually references this batch are computed) and **relation-confined**:
-//! a per-batch relation index maps each relation to the tuple indices
-//! carrying it, so a predicate confined to known relations
-//! ([`UnaryPredicate::relations`]) only inspects candidate tuples; exact
-//! relation tests and `True` fill their masks without calling
-//! `matches()` at all.
+//! The cache has two owners but one code path. A shard worker keeps one
+//! cache for every query it hosts and begins a batch per drained slice;
+//! a standalone [`StreamingEvaluator`](crate::evaluator::StreamingEvaluator)
+//! owns a one-query cache and begins a batch per push call, a
+//! per-tuple push being a one-tuple batch. The cache reads the caller's
+//! tuples in place through an index accessor.
 //!
-//! The outputs are bit-identical to the private prefilter: the pool bit
-//! for `(slot, tuple)` is exactly `pred.matches(tuple)` (unary
-//! predicates are pure), and the fan-out reads the same bits the
-//! private path would have computed.
+//! Evaluation of a slot is **lazy** (only slots some evaluator ensures
+//! this batch are computed) and **relation-confined**: a predicate
+//! confined to known relations ([`UnaryPredicate::relations`]) calls
+//! `matches()` only on tuples of those relations, found by comparing
+//! relation ids; exact relation tests and `True` fill their masks
+//! without calling `matches()` at all. Either way the pool bit for
+//! `(slot, tuple)` is exactly `pred.matches(tuple)`: unary predicates
+//! are pure.
 
+use cer_automata::pcea::Pcea;
 use cer_automata::predicate::{PredicateKey, UnaryPredicate};
 use cer_common::hash::FxHashMap;
 use cer_common::{RelationId, Tuple};
 
 /// One live interned predicate.
+#[derive(Clone, Debug)]
 struct Slot {
     pred: UnaryPredicate,
     /// Confining relations ([`UnaryPredicate::relations`]), computed at
@@ -40,12 +48,12 @@ struct Slot {
     rels: Option<Vec<RelationId>>,
     /// How many registered transitions reference this slot.
     refs: u32,
-    /// Whether the slot's pool words are valid for the current batch.
-    computed: bool,
+    /// The batch number whose pool words this slot holds (`0`: none).
+    computed_in: u64,
 }
 
-/// Per-shard predicate dedup cache. See the module docs.
-#[derive(Default)]
+/// Predicate dedup cache over one batch at a time. See the module docs.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct PredicateCache {
     /// Structural key → slot index, for live slots.
     interned: FxHashMap<PredicateKey, u32>,
@@ -62,18 +70,17 @@ pub(crate) struct PredicateCache {
     stride: usize,
     /// Tuples in the current batch.
     batch_len: usize,
-    /// Relation → indices of batch tuples carrying it, rebuilt per
-    /// batch (vectors are reused across batches).
-    rel_index: FxHashMap<RelationId, Vec<u32>>,
+    /// Number of the current batch, counted from 1.
+    batch: u64,
     /// Cumulative `(slot, batch)` computations performed.
     distinct_computes: u64,
-    /// Cumulative [`ensure`](Self::ensure) calls (one per referencing
-    /// transition per batch).
+    /// Cumulative slot references [`ensure`](Self::ensure)d (one per
+    /// referencing transition per batch).
     referenced: u64,
     /// Cumulative `matches()` calls actually performed.
     evals_done: u64,
-    /// Cumulative `matches()` calls avoided versus the private
-    /// prefilter (which pays one per tuple per referencing transition).
+    /// Cumulative `matches()` calls avoided versus one call per
+    /// referencing transition per batch tuple.
     evals_saved: u64,
 }
 
@@ -94,7 +101,7 @@ impl PredicateCache {
             pred: pred.clone(),
             rels: pred.relations(),
             refs: 1,
-            computed: false,
+            computed_in: 0,
         };
         let s = match self.free.pop() {
             Some(s) => {
@@ -108,6 +115,15 @@ impl PredicateCache {
         };
         self.interned.insert(key, s);
         s
+    }
+
+    /// Intern the unary predicate of every transition of `pcea`,
+    /// returning the automaton's slot table: transition index → slot.
+    pub fn intern_transitions(&mut self, pcea: &Pcea) -> Vec<u32> {
+        pcea.transitions()
+            .iter()
+            .map(|tr| self.intern(&tr.unary))
+            .collect()
     }
 
     /// Drop one reference to a slot (query deregistered/replaced); the
@@ -125,98 +141,79 @@ impl PredicateCache {
         }
     }
 
-    /// Start a new drained batch: invalidate every slot's pool words and
-    /// rebuild the per-relation tuple index. `O(slots + batch)`.
-    pub fn begin_batch(&mut self, tuples: &[(u64, Tuple)]) {
-        self.batch_len = tuples.len();
-        self.stride = tuples.len().div_ceil(64).max(1);
+    /// Start a batch of `len` tuples: every slot's pool words become
+    /// stale. `O(1)` apart from growing the pool, so a one-tuple batch
+    /// stays cheap.
+    pub fn begin_batch(&mut self, len: usize) {
+        self.batch_len = len;
+        self.stride = len.div_ceil(64).max(1);
+        self.batch += 1;
         // Stale words from a previous batch layout are harmless: a slot
-        // is read only after `ensure` recomputed it (computed = false).
+        // is read only after `ensure` recomputed it for this batch.
         self.pool.resize(self.slots.len() * self.stride, 0);
-        for entry in self.slots.iter_mut().flatten() {
-            entry.computed = false;
-        }
-        for v in self.rel_index.values_mut() {
-            v.clear();
-        }
-        for (j, (_, t)) in tuples.iter().enumerate() {
-            self.rel_index
-                .entry(t.relation())
-                .or_default()
-                .push(j as u32);
-        }
     }
 
-    /// The slot's bitmask over the current batch, computing it on first
-    /// reference. `tuples` must be the batch passed to
-    /// [`begin_batch`](Self::begin_batch).
-    pub fn ensure(&mut self, s: u32, tuples: &[(u64, Tuple)]) -> &[u64] {
-        debug_assert_eq!(tuples.len(), self.batch_len);
-        self.referenced += 1;
-        let stride = self.stride;
-        let range = s as usize * stride..(s as usize + 1) * stride;
-        let entry = self.slots[s as usize]
-            .as_mut()
-            .expect("ensured slot is live");
-        if entry.computed {
-            self.evals_saved += self.batch_len as u64;
-            return &self.pool[range];
-        }
-        entry.computed = true;
-        self.distinct_computes += 1;
-        let words = &mut self.pool[range.clone()];
-        words.fill(0);
-        // `matches()` calls this computation actually pays; the private
-        // prefilter would have paid `batch_len` per referencing
-        // transition.
+    /// Make every slot of `slots` (one automaton's slot table) valid for
+    /// the current batch, computing each slot on its first reference.
+    /// `tuple_at(j)` is tuple `j` of the batch announced by
+    /// [`begin_batch`](Self::begin_batch), read in place.
+    pub fn ensure<'t>(&mut self, slots: &[u32], tuple_at: impl Fn(usize) -> &'t Tuple) {
+        let (len, stride, batch) = (self.batch_len, self.stride, self.batch);
+        // `matches()` calls actually paid, against `len` per reference.
         let mut paid = 0u64;
-        match &entry.pred {
-            UnaryPredicate::True if self.batch_len > 0 => {
-                words.fill(!0);
-                let tail = self.batch_len % 64;
-                if tail != 0 {
-                    words[stride - 1] &= (1u64 << tail) - 1;
-                }
+        for &s in slots {
+            let entry = self.slots[s as usize]
+                .as_mut()
+                .expect("ensured slot is live");
+            if entry.computed_in == batch {
+                continue;
             }
-            UnaryPredicate::True => {}
-            // An exact relation test is the per-batch relation index.
-            UnaryPredicate::Relation(r) => {
-                if let Some(idx) = self.rel_index.get(r) {
-                    for &j in idx {
-                        words[j as usize / 64] |= 1 << (j % 64);
-                    }
+            entry.computed_in = batch;
+            self.distinct_computes += 1;
+            let words = &mut self.pool[s as usize * stride..(s as usize + 1) * stride];
+            let pred = &entry.pred;
+            if matches!(pred, UnaryPredicate::True) {
+                // Every tuple, without touching one.
+                for (w, word) in words.iter_mut().enumerate() {
+                    let rest = len.saturating_sub(w * 64);
+                    *word = if rest >= 64 { !0 } else { (1 << rest) - 1 };
                 }
+                continue;
             }
-            pred => match &entry.rels {
-                // Confined: only candidate tuples of the confining
-                // relations can match.
-                Some(rs) => {
-                    for r in rs {
-                        if let Some(idx) = self.rel_index.get(r) {
-                            for &j in idx {
-                                paid += 1;
-                                if pred.matches(&tuples[j as usize].1) {
-                                    words[j as usize / 64] |= 1 << (j % 64);
-                                }
-                            }
-                        }
+            words.fill(0);
+            // Only tuples of the confining relations can match (every
+            // tuple, for `Cmp` and `Custom`); for an exact relation test
+            // that is the whole answer.
+            let exact = matches!(pred, UnaryPredicate::Relation(_));
+            for j in 0..len {
+                let t = tuple_at(j);
+                if let Some(rels) = &entry.rels {
+                    if !rels.contains(&t.relation()) {
+                        continue;
                     }
                 }
-                // Unconfined (`Cmp`, `Custom`): every tuple is a
-                // candidate.
-                None => {
-                    for (j, (_, t)) in tuples.iter().enumerate() {
-                        paid += 1;
-                        if pred.matches(t) {
-                            words[j / 64] |= 1 << (j % 64);
-                        }
+                if !exact {
+                    paid += 1;
+                    if !pred.matches(t) {
+                        continue;
                     }
                 }
-            },
+                words[j / 64] |= 1 << (j % 64);
+            }
         }
+        self.referenced += slots.len() as u64;
         self.evals_done += paid;
-        self.evals_saved += self.batch_len as u64 - paid;
-        &self.pool[range]
+        self.evals_saved += slots.len() as u64 * len as u64 - paid;
+    }
+
+    /// Whether slot `s` accepts tuple `j` of the current batch. The slot
+    /// must have been [`ensure`](Self::ensure)d for this batch.
+    #[inline]
+    pub fn accepts(&self, s: u32, j: usize) -> bool {
+        debug_assert!(self.slots[s as usize]
+            .as_ref()
+            .is_some_and(|e| e.computed_in == self.batch));
+        self.pool[s as usize * self.stride + j / 64] >> (j % 64) & 1 == 1
     }
 
     /// Live distinct predicates (slots currently interned).
@@ -234,8 +231,8 @@ impl PredicateCache {
         self.evals_done
     }
 
-    /// Cumulative `matches()` calls avoided versus the private
-    /// prefilter.
+    /// Cumulative `matches()` calls avoided versus one call per
+    /// referencing transition per batch tuple.
     pub fn evals_saved(&self) -> u64 {
         self.evals_saved
     }
@@ -260,72 +257,96 @@ mod tests {
     use cer_common::tuple::tup;
     use cer_common::{Schema, Value};
 
-    /// Bits set in a slot mask, as tuple indices.
-    fn ones(mask: &[u64]) -> Vec<u32> {
-        let mut out = Vec::new();
-        for (w, &word) in mask.iter().enumerate() {
-            for b in 0..64 {
-                if word >> b & 1 == 1 {
-                    out.push((w * 64 + b) as u32);
-                }
-            }
-        }
-        out
+    /// The tuples of the current batch slot `s` accepts.
+    fn ones(cache: &PredicateCache, s: u32) -> Vec<u32> {
+        (0..cache.batch_len)
+            .filter(|&j| cache.accepts(s, j))
+            .map(|j| j as u32)
+            .collect()
+    }
+
+    /// Ensure slot `s` over `batch` and return what it accepts.
+    fn ensured(cache: &mut PredicateCache, s: u32, batch: &[(u64, Tuple)]) -> Vec<u32> {
+        cache.ensure(&[s], |j| &batch[j].1);
+        ones(cache, s)
     }
 
     #[test]
     fn hit_counters_match_hand_counted_dedup() {
         let (_, r, s, t) = Schema::sigma0();
-        // Batch: 3×T, 3×S, 2×R = 8 tuples.
-        let batch: Vec<(u64, Tuple)> = vec![
-            (0, tup(t, [1i64])),
-            (1, tup(s, [1i64, 10])),
-            (2, tup(t, [2i64])),
-            (3, tup(s, [2i64, 20])),
-            (4, tup(r, [1i64, 10])),
-            (5, tup(t, [3i64])),
-            (6, tup(s, [3i64, 5])),
-            (7, tup(r, [2i64, 20])),
+        // Base batch: 3×T, 3×S, 2×R = 8 tuples, also repeated 9 times
+        // to span two pool words.
+        let base: Vec<Tuple> = vec![
+            tup(t, [1i64]),
+            tup(s, [1i64, 10]),
+            tup(t, [2i64]),
+            tup(s, [2i64, 20]),
+            tup(r, [1i64, 10]),
+            tup(t, [3i64]),
+            tup(s, [3i64, 5]),
+            tup(r, [2i64, 20]),
         ];
-        let mut cache = PredicateCache::default();
-        let rel_t = cache.intern(&UnaryPredicate::Relation(t));
-        let rel_t2 = cache.intern(&UnaryPredicate::Relation(t));
-        assert_eq!(rel_t, rel_t2, "structural duplicates share a slot");
-        let s_ge = cache.intern(&UnaryPredicate::Relation(s).and(UnaryPredicate::Cmp {
-            pos: 1,
-            op: CmpOp::Ge,
-            value: Value::Int(10),
-        }));
-        let any = cache.intern(&UnaryPredicate::Cmp {
-            pos: 0,
-            op: CmpOp::Ge,
-            value: Value::Int(2),
-        });
-        assert_eq!(cache.distinct_predicates(), 3);
-        assert_eq!(cache.referenced_predicates(), 4);
+        for reps in [1u64, 9] {
+            let batch: Vec<(u64, Tuple)> = (0..reps)
+                .flat_map(|_| base.iter().cloned())
+                .zip(0..)
+                .map(|(t, i)| (i, t))
+                .collect();
+            let n = batch.len() as u64;
+            let at = |offsets: &[u32]| -> Vec<u32> {
+                let mut v: Vec<u32> = (0..reps as u32)
+                    .flat_map(|k| offsets.iter().map(move |o| 8 * k + o))
+                    .collect();
+                v.sort_unstable();
+                v
+            };
+            let mut cache = PredicateCache::default();
+            let rel_t = cache.intern(&UnaryPredicate::Relation(t));
+            let rel_t2 = cache.intern(&UnaryPredicate::Relation(t));
+            assert_eq!(rel_t, rel_t2, "structural duplicates share a slot");
+            let s_ge = cache.intern(&UnaryPredicate::Relation(s).and(UnaryPredicate::Cmp {
+                pos: 1,
+                op: CmpOp::Ge,
+                value: Value::Int(10),
+            }));
+            let any = cache.intern(&UnaryPredicate::Cmp {
+                pos: 0,
+                op: CmpOp::Ge,
+                value: Value::Int(2),
+            });
+            assert_eq!(cache.distinct_predicates(), 3);
+            assert_eq!(cache.referenced_predicates(), 4);
 
-        cache.begin_batch(&batch);
-        // Exact relation test: filled from the relation index, zero
-        // matches() calls, 8 saved vs the private prefilter.
-        assert_eq!(ones(cache.ensure(rel_t, &batch)), vec![0, 2, 5]);
-        assert_eq!((cache.evals_done(), cache.evals_saved()), (0, 8));
-        // Second reference to the same slot: pure cache hit.
-        assert_eq!(ones(cache.ensure(rel_t, &batch)), vec![0, 2, 5]);
-        assert_eq!((cache.evals_done(), cache.evals_saved()), (0, 16));
-        // Confined conjunction: only the 3 S tuples are candidates.
-        assert_eq!(ones(cache.ensure(s_ge, &batch)), vec![1, 3]);
-        assert_eq!((cache.evals_done(), cache.evals_saved()), (3, 21));
-        // Unconfined Cmp: all 8 tuples inspected, nothing saved.
-        assert_eq!(ones(cache.ensure(any, &batch)), vec![2, 3, 5, 6, 7]);
-        assert_eq!((cache.evals_done(), cache.evals_saved()), (11, 21));
-        assert_eq!(cache.distinct_computes(), 3);
-        assert_eq!(cache.references(), 4);
+            cache.begin_batch(batch.len());
+            // Exact relation test: decided by the relation alone, zero
+            // matches() calls, all saved vs one call per tuple.
+            assert_eq!(ensured(&mut cache, rel_t, &batch), at(&[0, 2, 5]));
+            assert_eq!((cache.evals_done(), cache.evals_saved()), (0, n));
+            // Second reference to the same slot: pure cache hit.
+            assert_eq!(ensured(&mut cache, rel_t, &batch), at(&[0, 2, 5]));
+            assert_eq!((cache.evals_done(), cache.evals_saved()), (0, 2 * n));
+            // Confined conjunction: only the S tuples are candidates.
+            assert_eq!(ensured(&mut cache, s_ge, &batch), at(&[1, 3]));
+            let done = 3 * reps;
+            assert_eq!(
+                (cache.evals_done(), cache.evals_saved()),
+                (done, 3 * n - done)
+            );
+            // Unconfined Cmp: every tuple inspected, nothing saved.
+            assert_eq!(ensured(&mut cache, any, &batch), at(&[2, 3, 5, 6, 7]));
+            assert_eq!(
+                (cache.evals_done(), cache.evals_saved()),
+                (done + n, 3 * n - done)
+            );
+            assert_eq!(cache.distinct_computes(), 3);
+            assert_eq!(cache.references(), 4);
 
-        // Next batch invalidates: the same slot recomputes once.
-        cache.begin_batch(&batch[..2]);
-        assert_eq!(ones(cache.ensure(rel_t, &batch[..2])), vec![0]);
-        assert_eq!(ones(cache.ensure(rel_t, &batch[..2])), vec![0]);
-        assert_eq!(cache.distinct_computes(), 4);
+            // Next batch invalidates: the same slot recomputes once.
+            cache.begin_batch(2);
+            assert_eq!(ensured(&mut cache, rel_t, &batch), vec![0]);
+            assert_eq!(ensured(&mut cache, rel_t, &batch), vec![0]);
+            assert_eq!(cache.distinct_computes(), 4);
+        }
     }
 
     #[test]
@@ -355,11 +376,15 @@ mod tests {
         let batch: Vec<(u64, Tuple)> = (0..70).map(|i| (i, tup(t, [i as i64]))).collect();
         let mut cache = PredicateCache::default();
         let slot = cache.intern(&UnaryPredicate::True);
-        cache.begin_batch(&batch);
-        let mask = cache.ensure(slot, &batch);
-        assert_eq!(mask.len(), 2, "70 tuples span two words");
-        assert_eq!(ones(mask).len(), 70, "every tuple accepted");
-        assert_eq!(mask[1] >> (70 - 64), 0, "tail bits cleared");
+        cache.begin_batch(batch.len());
+        cache.ensure(&[slot], |j| &batch[j].1);
+        assert_eq!(cache.stride, 2, "70 tuples span two words");
+        assert_eq!(ones(&cache, slot).len(), 70, "every tuple accepted");
+        assert_eq!(
+            cache.pool[slot as usize * 2 + 1] >> (70 - 64),
+            0,
+            "tail bits cleared"
+        );
         assert_eq!(cache.evals_done(), 0);
         assert_eq!(cache.evals_saved(), 70);
     }

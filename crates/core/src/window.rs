@@ -107,19 +107,6 @@ impl WindowClock {
         &self.policy
     }
 
-    /// For count windows, the window size `w` — the expiry bound is the
-    /// pure function `lo = i − w` of the position, which lets batch
-    /// evaluation hoist the policy dispatch out of its inner loop. Time
-    /// windows return `None`: their bound depends on each tuple's
-    /// timestamp, so they must go through [`observe`](Self::observe)
-    /// tuple by tuple.
-    pub fn count_window(&self) -> Option<u64> {
-        match self.policy {
-            WindowPolicy::Count(w) => Some(w),
-            WindowPolicy::Time { .. } => None,
-        }
-    }
-
     /// Observe the tuple occupying position `i`; returns the expiry
     /// bound `lo`: every stored position `< lo` is out of the window at
     /// `i`.

@@ -541,3 +541,25 @@ fn durability_status_and_not_durable() {
     assert_eq!(st.last_checkpoint_position, Some(50));
     assert_eq!(st.chain_len, 1);
 }
+
+/// `delta_ratio_bp` compares the bytes written against a full encoding
+/// of the same snapshot: a full checkpoint reports exactly `10_000`, and
+/// a delta never more.
+#[test]
+fn full_checkpoint_reports_no_savings_exactly() {
+    let mut schema = Schema::new();
+    let specs = spec_set(&mut schema);
+    let stream = mixed_stream(&schema, 400);
+    let scratch = Scratch::new("ratio");
+    let config = durable_config(2, FsyncPolicy::EveryN(16));
+    let mut rt = Runtime::open_durable(scratch.path(), config).expect("open");
+    register_all(&mut rt, &specs, &WindowPolicy::Count(40));
+    rt.push_batch(&stream[..200]);
+    let full = rt.checkpoint().expect("full checkpoint");
+    assert!(full.full);
+    assert_eq!(full.delta_ratio_bp, 10_000);
+    rt.push_batch(&stream[200..210]);
+    let delta = rt.checkpoint().expect("delta checkpoint");
+    assert!(!delta.full);
+    assert!(delta.delta_ratio_bp <= 10_000, "{}", delta.delta_ratio_bp);
+}
