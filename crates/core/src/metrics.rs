@@ -28,7 +28,8 @@
 //!   `Instant` captured at block reservation and carried on the stamped
 //!   batch. Sampled every Nth delivered match
 //!   ([`RuntimeConfig::e2e_sample_every`](crate::config::RuntimeConfig::e2e_sample_every));
-//!   the default is every match.
+//!   the default is every match. A batched publish records its samples
+//!   with one weighted histogram add.
 //!
 //! Recording cost follows the `cer-obs` model: one relaxed atomic add
 //! per histogram sample; the journal takes a short mutex on *events*
@@ -298,16 +299,19 @@ impl PipelineMetrics {
         }
     }
 
-    /// Whether this delivered match should contribute an e2e sample:
-    /// every `sample_every`-th match does. One relaxed `fetch_add`; the
-    /// histograms stay unbiased under uniform sampling because every
-    /// percentile is a ratio of bucket counts.
+    /// How many of the next `n` delivered matches contribute an e2e
+    /// sample: every `sample_every`-th match does, counted globally
+    /// across flushes. One relaxed `fetch_add(n)` per flush claims ticks
+    /// `[t, t + n)` and returns how many of them are multiples of the
+    /// period, so the e2e count stays `ceil(matches / sample_every)`
+    /// however the matches were batched. The histograms stay unbiased
+    /// under uniform sampling because every percentile is a ratio of
+    /// bucket counts.
     #[inline]
-    pub fn e2e_should_sample(&self) -> bool {
+    pub fn e2e_samples(&self, n: u64) -> u64 {
         let every = self.e2e_sample_every.load(Ordering::Relaxed).max(1);
-        self.e2e_ticks
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every)
+        let t = self.e2e_ticks.fetch_add(n, Ordering::Relaxed);
+        (t + n).div_ceil(every) - t.div_ceil(every)
     }
 }
 
@@ -318,12 +322,17 @@ mod tests {
     #[test]
     fn e2e_sampling_period_is_respected() {
         let m = PipelineMetrics::new(1, EVENT_JOURNAL_CAPACITY, 4);
-        let sampled = (0..16).filter(|_| m.e2e_should_sample()).count();
+        let sampled: u64 = (0..16).map(|_| m.e2e_samples(1)).sum();
         assert_eq!(sampled, 4);
+        // Uneven flushes keep the global period: ticks 16..39 hold the
+        // multiples 16, 20, .., 36.
+        let sampled: u64 = [3, 0, 1, 7, 2, 11].iter().map(|&n| m.e2e_samples(n)).sum();
+        assert_eq!(sampled, 6);
         // 0 is clamped to 1: every match samples.
         let m = PipelineMetrics::new(1, EVENT_JOURNAL_CAPACITY, 0);
-        let sampled = (0..5).filter(|_| m.e2e_should_sample()).count();
+        let sampled: u64 = (0..5).map(|_| m.e2e_samples(1)).sum();
         assert_eq!(sampled, 5);
+        assert_eq!(m.e2e_samples(9), 9);
     }
 
     #[test]

@@ -1574,7 +1574,7 @@ impl Runtime {
             .expect("runtime not shut down");
         self.shared.barrier().expect("a runtime shard worker died");
         let mut out = sub.drain();
-        out.sort();
+        out.sort_unstable();
         out
     }
 
@@ -1741,7 +1741,7 @@ impl Runtime {
         );
         out.push_histogram(
             "cer_delivery_nanos",
-            "Match publish latency across subscriber channels",
+            "Per delivered match: wall time of the batched publish that carried it",
             &[],
             self.shared.subs.delivery.snapshot(),
         );
@@ -2158,12 +2158,38 @@ impl Drop for AbandonOnUnwind<'_> {
     }
 }
 
+/// Matches one query may hold back for a batched publish before the
+/// shard worker flushes them mid-batch: bounds the worker's memory when
+/// one drained batch completes very many matches, while a flush still
+/// spreads its lock and wake over thousands of matches.
+const MAX_PENDING_MATCHES: usize = 1 << 14;
+
+/// Publish one query's pending matches (in position order) in one
+/// batched call, then record their e2e samples with one weighted add.
+fn deliver(
+    shared: &IngestShared,
+    query: QueryId,
+    pending: &mut Vec<MatchEvent>,
+    ingest_at: Instant,
+) {
+    let n = pending.len() as u64;
+    if n == 0 {
+        return;
+    }
+    shared.subs.publish_batch(query, pending);
+    let samples = shared.metrics.e2e_samples(n);
+    if samples > 0 {
+        let nanos = ingest_at.elapsed().as_nanos() as u64;
+        shared.metrics.e2e.record_n(nanos, samples);
+    }
+}
+
 /// One worker thread: hosts its queries' evaluators and a local routing
 /// table, drains its bounded ingest queue in FIFO order — coalescing
 /// consecutive tuple batches up to [`IngestConfig::max_batch`](crate::ingest::IngestConfig::max_batch) per
 /// wakeup — evaluates each query's subsequence of the coalesced slice
-/// through the vectorized batch path, and publishes completed matches
-/// to the subscription registry.
+/// through the vectorized batch path, and publishes each query's
+/// completed matches to the subscription registry in one batched call.
 ///
 /// The queue, stage histograms and shard geometry are spawn-time
 /// parameters: they name the worker's *epoch*, and a rescale replaces
@@ -2187,8 +2213,10 @@ fn shard_loop(
     // evaluated at most once per tuple per drained batch, no matter how
     // many hosted queries reference it.
     let mut cache = PredicateCache::default();
-    // Reusable per-batch scratch: which queries have a subscriber.
+    // Reusable per-batch scratch: which queries have a subscriber, and
+    // one query's matches awaiting a batched publish.
     let mut listening: Vec<bool> = Vec::new();
+    let mut pending: Vec<MatchEvent> = Vec::new();
     // Local routing: relation → indices into `groups`.
     let mut routes: FxHashMap<RelationId, Vec<usize>> = FxHashMap::default();
     let mut wildcards: Vec<usize> = Vec::new();
@@ -2218,8 +2246,9 @@ fn shard_loop(
                 // listening for the query's events; gate once per batch
                 // rather than per tuple (subscriber churn mid-batch is
                 // already racy by construction).
-                listening.clear();
-                listening.extend(queries.iter().map(|q| shared.subs.has_subscriber_for(q.id)));
+                shared
+                    .subs
+                    .fill_listening(queries.iter().map(|q| q.id), &mut listening);
                 cache.begin_batch(tuples.len());
                 // Select each *group's* subsequence of the slice (every
                 // member shares listens and partition, so the group
@@ -2262,15 +2291,16 @@ fn shard_loop(
                         };
                         q.eval
                             .push_stamped(&tuples, &g.sel, preds, listening[k], |position, v| {
-                                shared.subs.publish(&MatchEvent {
+                                pending.push(MatchEvent {
                                     position,
                                     query: id,
                                     valuation: v.clone(),
                                 });
-                                if shared.metrics.e2e_should_sample() {
-                                    shared.metrics.e2e.record_duration(ingest_at.elapsed());
+                                if pending.len() >= MAX_PENDING_MATCHES {
+                                    deliver(&shared, id, &mut pending, ingest_at);
                                 }
                             });
+                        deliver(&shared, id, &mut pending, ingest_at);
                         // Journal new time-window clamps as a per-batch
                         // delta — one cheap counter read per query per
                         // batch, an event only when the stream actually

@@ -136,7 +136,15 @@ impl Histogram {
     /// Record one sample (nanoseconds). One relaxed atomic add.
     #[inline]
     pub fn record(&self, nanos: u64) {
-        self.counts[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.record_n(nanos, 1);
+    }
+
+    /// Record `n` samples of the same value (nanoseconds) — e.g. one
+    /// timing that stands for every event of a batch. One relaxed
+    /// atomic add; the count grows by `n`.
+    #[inline]
+    pub fn record_n(&self, nanos: u64, n: u64) {
+        self.counts[bucket_index(nanos)].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record a [`Duration`] sample, saturating at `u64::MAX` ns.
@@ -283,5 +291,18 @@ mod tests {
         }
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn record_n_weights_one_bucket() {
+        let h = Histogram::new();
+        h.record_n(1_000, 5);
+        h.record_n(1_000_000, 0);
+        h.record(50);
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), 6);
+        assert_eq!(snap.counts[bucket_index(1_000)], 5);
+        assert_eq!(snap.p50(), bucket_bounds()[bucket_index(1_000)]);
+        assert_eq!(snap.max(), bucket_bounds()[bucket_index(1_000)]);
     }
 }

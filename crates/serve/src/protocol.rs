@@ -45,7 +45,10 @@ pub const DEFAULT_MAX_FRAME: usize = 16 << 20;
 // ---------------------------------------------------------------------
 // Framing
 
-/// Write one frame: `len` prefix plus `payload`, then flush.
+/// Write one frame: `len` prefix plus `payload` in a single write, then
+/// flush. One write means one syscall and, with `TCP_NODELAY`, one
+/// segment for a small frame instead of a 4-byte prefix segment plus a
+/// payload segment.
 ///
 /// The caller is responsible for `payload.len() <= max_frame` on its
 /// side; the function only refuses payloads whose length cannot be
@@ -53,8 +56,10 @@ pub const DEFAULT_MAX_FRAME: usize = 16 << 20;
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload over 4 GiB"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -798,6 +803,45 @@ mod tests {
             read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap().unwrap(),
             b"d"
         );
+        assert!(read_frame(&mut cursor, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .is_none());
+    }
+
+    /// A writer that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        let payloads: [&[u8]; 3] = [b"abc", b"d", &[7u8; 5000]];
+        for (i, p) in payloads.iter().enumerate() {
+            write_frame(&mut w, p).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+        }
+        let mut cursor = io::Cursor::new(w.bytes);
+        for p in payloads {
+            assert_eq!(
+                read_frame(&mut cursor, DEFAULT_MAX_FRAME).unwrap().unwrap(),
+                p
+            );
+        }
         assert!(read_frame(&mut cursor, DEFAULT_MAX_FRAME)
             .unwrap()
             .is_none());
